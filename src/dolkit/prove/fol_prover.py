@@ -6,12 +6,36 @@ introduced internally. The given-clause loop alternates a weight-best pick
 with an age-based pick for fairness, discards tautologies and forward-
 subsumed clauses, and traces refutations back to the originating axiom
 labels. Saturation without an empty clause is CounterSatisfiable; running
-past the deadline or the clause cap is a timeout.
+past the deadline or the clause cap is a timeout, and so is a CNF expansion
+that is still running at the deadline.
+
+Three exact indexes stand in for scans over every clause. Each returns what
+its scan would, so the search makes the same picks, generates resolvents in
+the same order and reaches the same subsumption verdicts:
+
+- forward subsumption: queued and processed clauses under the (sign,
+  predicate) key of their first literal, each with a feature bitmask of its
+  (sign, predicate) keys and function symbols. `_subsumes` runs only on
+  candidates whose features are a subset of the new clause's, which every
+  subsumer's are (Schulz, "Simple and Efficient Clause Subsumption with
+  Feature Vector Indexing", 2013);
+- resolution partners: processed clauses under each (sign, predicate) key
+  they hold, visited in processed order;
+- clause selection: queued clauses in a heap by (weight, age), with the
+  weight cached on the clause, and in a FIFO queue, which is in age order
+  because clauses are queued in the order they are made. Both delete lazily.
+
+Only retained clauses (queued, processed or empty) are registered for
+refutation tracing, which suffices because parents are always processed.
+Their literals and terms are hash-consed. A generated clause that some
+retained clause subsumes, a duplicate included, is dropped at once.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,19 +54,18 @@ Term = tuple
 Literal = tuple  # (sign, pred_key, args)
 
 
-@dataclass
+@dataclass(slots=True)
 class Clause:
     id: int
     lits: tuple[Literal, ...]
     parents: tuple[int, ...]
     label: str | None
     age: int
-
-    @property
-    def weight(self) -> int:
-        return sum(_term_weight(arg) + 1 for _, _, args in self.lits for arg in args) + len(
-            self.lits
-        )
+    # index data, set by _Saturation.push and process
+    weight: int = 0
+    mask: int = 0  # _Saturation.features(lits)
+    queued: bool = False  # waiting to be picked
+    rank: int = -1  # position in the processed list, once processed
 
 
 def _term_weight(t: Term) -> int:
@@ -126,8 +149,13 @@ def _simplify(ast):
     return ast
 
 
+class _Deadline(Exception):
+    """Clausification ran past the deadline."""
+
+
 class _Skolemizer:
-    def __init__(self) -> None:
+    def __init__(self, deadline: float) -> None:
+        self.deadline = deadline
         self.var_count = 0
         self.sk_count = 0
 
@@ -139,7 +167,7 @@ class _Skolemizer:
         if isinstance(ast, fol.FFalse):
             return [frozenset()]
         matrix = self._skolemize(ast, {}, ())
-        return _distribute(matrix)
+        return _distribute(matrix, self.deadline)
 
     def _fresh_var(self) -> Term:
         self.var_count += 1
@@ -187,16 +215,22 @@ class _Skolemizer:
         return ("f", (t.origin, t.name), ())
 
 
-def _distribute(matrix) -> list[frozenset[Literal]]:
-    """CNF of a skolemized NNF matrix (and/or tree over literal tuples)."""
+def _distribute(matrix, deadline: float) -> list[frozenset[Literal]]:
+    """CNF of a skolemized NNF matrix (and/or tree over literal tuples).
+    The CNF can be exponentially large, so this raises _Deadline once the
+    deadline has passed."""
     if isinstance(matrix, tuple):  # a literal
         return [frozenset([matrix])]
     if isinstance(matrix, fol.FBin) and matrix.op == "and":
-        return _distribute(matrix.left) + _distribute(matrix.right)
+        return _distribute(matrix.left, deadline) + _distribute(matrix.right, deadline)
     if isinstance(matrix, fol.FBin) and matrix.op == "or":
+        lefts = _distribute(matrix.left, deadline)
+        rights = _distribute(matrix.right, deadline)
         out = []
-        for left in _distribute(matrix.left):
-            for right in _distribute(matrix.right):
+        for left in lefts:
+            for right in rights:
+                if time.monotonic() > deadline:
+                    raise _Deadline
                 out.append(left | right)
         return out
     raise UnsupportedFeature(f"cannot distribute {type(matrix).__name__}")
@@ -330,12 +364,21 @@ class _Saturation:
     def __init__(self, deadline: float, clause_cap: int):
         self.deadline = deadline
         self.clause_cap = clause_cap
-        self.clauses: dict[int, Clause] = {}
+        self.clauses: dict[int, Clause] = {}  # retained: queued, processed or empty
         self.next_id = 0
-        self.seen: set[tuple[Literal, ...]] = set()
         self.processed: list[Clause] = []
-        self.unprocessed: list[Clause] = []
+        self.queued = 0
+        # queued clauses, with lazy deletion: a heap by (weight, age), and a
+        # FIFO by age, since clauses are queued in the order they are made
+        self.by_weight: list[tuple[int, int, Clause]] = []
+        self.by_age: deque[Clause] = deque()
         self.picks = 0
+        # queued and processed clauses by the (sign, pred) of their first literal
+        self.by_first: dict[tuple, list[Clause]] = {}
+        # processed clauses, in processed order, by each (sign, pred) they hold
+        self.by_key: dict[tuple, list[Clause]] = {}
+        self.feature_bits: dict[tuple, int] = {}
+        self.shared: dict[tuple, tuple] = {}
 
     def add(self, lits: Iterable[Literal], parents: tuple[int, ...], label: str | None) -> Clause | None:
         canonical = _canonical(lits)
@@ -343,39 +386,101 @@ class _Saturation:
             return None
         clause = Clause(self.next_id, canonical, parents, label, self.next_id)
         self.next_id += 1
-        self.clauses[clause.id] = clause
         return clause
 
     def out_of_time(self) -> bool:
         return time.monotonic() > self.deadline or self.next_id > self.clause_cap
 
+    def features(self, lits: tuple[Literal, ...]) -> int:
+        """Bitmask of the (sign, pred) keys and function symbols in `lits`."""
+        bits = self.feature_bits
+        mask = 0
+        for sign, pred, args in lits:
+            mask |= bits.setdefault((sign, pred), 1 << len(bits))
+            stack = list(args)
+            while stack:
+                t = stack.pop()
+                if t[0] == "f":
+                    mask |= bits.setdefault(t[1], 1 << len(bits))
+                    stack.extend(t[2])
+        return mask
+
+    def subsumed(self, clause: Clause, processed_only: bool) -> bool:
+        """Whether a queued or processed clause (only a processed one, if
+        asked) subsumes `clause`. A subsumer's first literal shares a
+        (sign, pred) key with `clause`, and its features are a subset."""
+        mask, size = clause.mask, len(clause.lits)
+        for key in {(sign, pred) for sign, pred, _ in clause.lits}:
+            for old in self.by_first.get(key, ()):
+                if old.mask & ~mask or len(old.lits) > size:
+                    continue
+                if old.rank < 0 and (processed_only or not old.queued):
+                    continue  # not processed, or subsumed when picked
+                if _subsumes(old, clause):
+                    return True
+        return False
+
     def push(self, clause: Clause) -> Clause | None:
         """Queue a clause unless trivial or subsumed; returns the empty clause
         when derived."""
         if not clause.lits:
+            self.clauses[clause.id] = clause
             return clause
-        if clause.lits in self.seen:
-            return None
         if self.out_of_time():
             return None  # dropping clauses is safe once the run is a timeout
-        for old in self.processed:
-            if _subsumes(old, clause):
-                return None
-        for old in self.unprocessed:
-            if _subsumes(old, clause):
-                return None
-        self.seen.add(clause.lits)
-        self.unprocessed.append(clause)
+        clause.mask = self.features(clause.lits)
+        if self.subsumed(clause, processed_only=False):
+            return None
+        clause.lits = tuple(self.share_literal(lit) for lit in clause.lits)
+        clause.weight = len(clause.lits) + sum(
+            _term_weight(arg) + 1 for _, _, args in clause.lits for arg in args
+        )
+        clause.queued = True
+        self.clauses[clause.id] = clause
+        sign, pred, _ = clause.lits[0]
+        self.by_first.setdefault((sign, pred), []).append(clause)
+        heapq.heappush(self.by_weight, (clause.weight, clause.age, clause))
+        self.by_age.append(clause)
+        self.queued += 1
         return None
 
+    def share_term(self, t: Term) -> Term:
+        if t[0] == "f" and t[2]:
+            t = ("f", t[1], tuple(self.share_term(a) for a in t[2]))
+        return self.shared.setdefault(t, t)
+
+    def share_literal(self, lit: Literal) -> Literal:
+        sign, pred, args = lit
+        lit = (sign, pred, tuple(self.share_term(a) for a in args))
+        return self.shared.setdefault(lit, lit)
+
     def pick(self) -> Clause:
+        """The queued clause of least (weight, age), or every fifth pick the
+        oldest one."""
         self.picks += 1
-        if self.picks % _AGE_PICK_EVERY == 0:
-            best = min(self.unprocessed, key=lambda c: c.age)
-        else:
-            best = min(self.unprocessed, key=lambda c: (c.weight, c.age))
-        self.unprocessed.remove(best)
+        by_age = self.picks % _AGE_PICK_EVERY == 0
+        while True:
+            best = self.by_age.popleft() if by_age else heapq.heappop(self.by_weight)[-1]
+            if best.queued:
+                break
+        best.queued = False
+        self.queued -= 1
         return best
+
+    def process(self, clause: Clause) -> None:
+        clause.rank = len(self.processed)
+        self.processed.append(clause)
+        for key in {(sign, pred) for sign, pred, _ in clause.lits}:
+            self.by_key.setdefault(key, []).append(clause)
+
+    def partners(self, given: Clause) -> list[Clause]:
+        """Processed clauses with a literal complementary in sign and
+        predicate to one of `given`, in processed order."""
+        found: dict[int, Clause] = {}
+        for sign, pred, _ in given.lits:
+            for partner in self.by_key.get((not sign, pred), ()):
+                found[partner.rank] = partner
+        return [found[rank] for rank in sorted(found)]
 
     def factors(self, clause: Clause) -> list[Clause]:
         out = []
@@ -435,6 +540,28 @@ def _ast(s) -> object:
     return s.ast if isinstance(s, Sentence) else s
 
 
+def _input_clauses(
+    sat: _Saturation, axioms: Sequence[Sentence], conjecture: Sentence
+) -> list[Clause]:
+    """Clauses of the axioms and of the negated conjecture, labelled for
+    refutation tracing. Raises _Deadline once the deadline has passed."""
+    sk = _Skolemizer(sat.deadline)
+    formulas = [
+        (_ast(axiom), (axiom.label if isinstance(axiom, Sentence) else None) or f"axiom_{i}")
+        for i, axiom in enumerate(axioms, 1)
+    ]
+    formulas.append((fol.FNot(_ast(conjecture)), None))
+    initial: list[Clause] = []
+    for ast, label in formulas:
+        for lits in sk.formula_clauses(ast) or ():
+            if time.monotonic() > sat.deadline:
+                raise _Deadline
+            clause = sat.add(lits, (), label)
+            if clause is not None:
+                initial.append(clause)
+    return initial
+
+
 def prove_fol_internal(
     axioms: Sequence[Sentence],
     conjecture: Sentence,
@@ -443,24 +570,14 @@ def prove_fol_internal(
 ) -> ProofAttempt:
     start = time.monotonic()
     sat = _Saturation(start + timeout_seconds, clause_cap)
-    sk = _Skolemizer()
-    initial: list[Clause] = []
-    for i, axiom in enumerate(axioms):
-        label = axiom.label if isinstance(axiom, Sentence) else None
-        clause_sets = sk.formula_clauses(_ast(axiom))
-        if clause_sets is None:
-            continue
-        for lits in clause_sets:
-            clause = sat.add(lits, (), label or f"axiom_{i + 1}")
-            if clause is not None:
-                initial.append(clause)
-    negated = fol.FNot(_ast(conjecture))
-    clause_sets = sk.formula_clauses(negated)
-    if clause_sets is not None:
-        for lits in clause_sets:
-            clause = sat.add(lits, (), None)
-            if clause is not None:
-                initial.append(clause)
+    try:
+        initial = _input_clauses(sat, axioms, conjecture)
+    except _Deadline:
+        return ProofAttempt(
+            "", PROVER_ID, ProofStatus.TMO, time.monotonic() - start,
+            output="clausification stopped at the deadline",
+            timeout_seconds=timeout_seconds,
+        )
     empty: Clause | None = None
     for clause in initial:
         empty = sat.push(clause) or empty
@@ -469,18 +586,17 @@ def prove_fol_internal(
         if sat.out_of_time():
             timed_out = True
             break
-        if not sat.unprocessed:
+        if not sat.queued:
             break
         given = sat.pick()
-        subsumed = any(_subsumes(old, given) for old in sat.processed)
-        if subsumed:
+        if sat.subsumed(given, processed_only=True):
             continue
         new: list[Clause] = sat.factors(given)
-        for partner in sat.processed + [given]:
+        for partner in sat.partners(given) + [given]:
             new.extend(sat.resolvents(given, partner))
             if sat.out_of_time():
                 break
-        sat.processed.append(given)
+        sat.process(given)
         for clause in new:
             # empty clauses still win inside the grace window; push() stops
             # queueing non-empty ones once the deadline passed

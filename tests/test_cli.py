@@ -70,14 +70,18 @@ class TestAnalyze:
         assert first == second
 
     def test_deterministic_across_processes_and_hash_seeds(self):
+        import os
         import subprocess
         import sys
 
         def run_once(seed: str) -> bytes:
+            env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"}
+            if "PYTHONPATH" in os.environ:  # dolkit may run from a checkout
+                env["PYTHONPATH"] = os.environ["PYTHONPATH"]
             return subprocess.run(
                 [sys.executable, "-m", "dolkit", "--repo", REPO, "analyze", FAMILY],
                 capture_output=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                env=env,
                 check=True,
             ).stdout
 
