@@ -42,6 +42,13 @@ from .structure import (
 )
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # name the stream: for a stream it looks up itself, click caches a wrapper
+    # that keeps the stream alive, so each buffer that an in-process caller
+    # redirects output to would stay in memory for the life of the process
+    click.echo(message, nl=nl, file=sys.stderr if err else sys.stdout)
+
+
 def _repo_config(repo_path: str | None, input_file: str | None) -> RepoConfig:
     path = repo_path or os.environ.get("DOLKIT_REPO")
     if path:
@@ -147,8 +154,8 @@ def cli(ctx: click.Context, repo_path: str | None) -> None:
 def cmd_analyze(repo_path: str | None, file: str) -> int:
     doc, env = _load(file, repo_path)
     report = build_analysis_report(doc, env)
-    click.echo(json.dumps(report, indent=2))
-    click.echo(
+    _echo(json.dumps(report, indent=2))
+    _echo(
         f"analyzed {len(report['ontologies'])} ontologies, "
         f"{len(report['alignments'])} alignments, "
         f"{len(report['obligations'])} obligations",
@@ -216,7 +223,7 @@ def cmd_prove(
     temp_dir = None
     if keep_temp:
         temp_dir = tempfile.mkdtemp(prefix="dolkit_")
-        click.echo(f"TPTP files kept under {temp_dir}", err=True)
+        _echo(f"TPTP files kept under {temp_dir}", err=True)
     config = AttemptConfig(
         provers=tuple(_parse_prover(p) for p in provers),
         timeout_seconds=timeout,
@@ -227,9 +234,9 @@ def cmd_prove(
         prefixes=env.prefixes,
     )
     attempts = prove_all(obligations, config)
-    click.echo(json.dumps({"attempts": [attempt_to_dict(a) for a in attempts]}, indent=2))
+    _echo(json.dumps({"attempts": [attempt_to_dict(a) for a in attempts]}, indent=2))
     for a in attempts:
-        click.echo(f"{a.obligation}: {a.status.value} ({a.prover}, {a.wall_time:.2f}s)", err=True)
+        _echo(f"{a.obligation}: {a.status.value} ({a.prover}, {a.wall_time:.2f}s)", err=True)
     return 0 if all(a.status.value == "THM" for a in attempts) else 2
 
 
@@ -249,15 +256,15 @@ def cmd_combine(repo_path: str | None, file: str, name: str, out_path: str | Non
     text = get_logic(result.theory.logic_id).print_theory(result.theory, env.prefixes)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {out_path}", err=True)
+        _echo(f"wrote {out_path}", err=True)
     else:
-        click.echo(text, nl=False)
-    click.echo("merged symbol classes:", err=True)
+        _echo(text, nl=False)
+    _echo("merged symbol classes:", err=True)
     for rep, members in result.merged_classes():
         if len(members) < 2:
             continue
         parts = ", ".join(f"{node}:{sym.name}" for node, sym in members)
-        click.echo(f"  {rep.name} <- {parts}", err=True)
+        _echo(f"  {rep.name} <- {parts}", err=True)
     return 0
 
 
@@ -275,9 +282,9 @@ def cmd_graph(repo_path: str | None, file: str, fmt: str) -> int:
     doc, env = _load(file, repo_path)
     graph = dev_graph(doc, env)
     if fmt == "dot":
-        click.echo(graph_to_dot(graph), nl=False)
+        _echo(graph_to_dot(graph), nl=False)
     else:
-        click.echo(json.dumps(graph_to_dict(graph), indent=2))
+        _echo(json.dumps(graph_to_dict(graph), indent=2))
     return 0
 
 
@@ -304,7 +311,7 @@ def cmd_logics(category: str | None) -> int:
                     value = entry_.attr(key)
                     if value:
                         parts.append(f"{key}={value}")
-            click.echo(" ".join(parts))
+            _echo(" ".join(parts))
     return 0
 
 
@@ -313,18 +320,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = cli.main(args=argv, standalone_mode=False)
     except click.UsageError as e:
-        click.echo(f"usage error: {e.format_message()}", err=True)
+        _echo(f"usage error: {e.format_message()}", err=True)
         return 64
     except click.exceptions.Exit as e:
         return e.exit_code
     except click.exceptions.Abort:
         return 130
     except DolkitError as e:
-        click.echo(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, indent=2))
-        click.echo(f"error: {e}", err=True)
+        _echo(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, indent=2))
+        _echo(f"error: {e}", err=True)
         return 1
     except OSError as e:
-        click.echo(json.dumps({"error": {"type": "IoError", "message": str(e)}}, indent=2))
+        _echo(json.dumps({"error": {"type": "IoError", "message": str(e)}}, indent=2))
         return 1
     return code if isinstance(code, int) else 0
 

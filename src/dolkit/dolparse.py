@@ -39,7 +39,12 @@ from .errors import (
     UnresolvedIri,
 )
 from .logics._scan import Tok, TokenCursor
-from .mappings import extensions_for_logic, logic_for_extension, logic_for_language
+from .mappings import (
+    EXTENSION_LOGICS,
+    extensions_for_logic,
+    logic_for_extension,
+    logic_for_language,
+)
 
 _MASTER = re.compile(
     r"(?P<WS>\s+)"
@@ -508,9 +513,6 @@ def print_document(doc: DolDocument) -> str:
 # -- repository config and reference resolution --------------------------------------
 
 
-_KNOWN_EXTENSIONS = (".omn", ".owl", ".p", ".fof", ".prop")
-
-
 @dataclass(frozen=True)
 class RepoEntry:
     directory: Path
@@ -576,7 +578,7 @@ def resolve_reference(iri: str, repo: RepoConfig) -> tuple[str, str, str]:
         ordered: list[str] = []
         if entry.default_logic:
             ordered.extend(extensions_for_logic(entry.default_logic))
-        ordered.extend(e for e in _KNOWN_EXTENSIONS if e not in ordered)
+        ordered.extend(e for e in EXTENSION_LOGICS if e not in ordered)
         paths = [candidate.with_name(candidate.name + ext) for ext in ordered]
     for path in paths:
         if path.is_file():

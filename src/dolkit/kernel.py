@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import (
     InvalidTheory,
@@ -91,10 +91,13 @@ class Signature:
         return sorted(self.symbols, key=Symbol.sort_key)
 
     def by_local_name(self, name: str) -> list[Symbol]:
-        return [s for s in self.sorted_symbols() if s.name == name]
+        return sorted((s for s in self.symbols if s.name == name), key=Symbol.sort_key)
 
     def by_qualified(self, origin: str, name: str) -> list[Symbol]:
-        return [s for s in self.sorted_symbols() if s.origin == origin and s.name == name]
+        return sorted(
+            (s for s in self.symbols if s.origin == origin and s.name == name),
+            key=Symbol.sort_key,
+        )
 
 
 @dataclass(frozen=True, eq=True)
@@ -171,6 +174,14 @@ class Theory:
             if s.label == label:
                 return s
         return None
+
+
+def fresh_name(base: str, is_taken: Callable[[str], bool]) -> str:
+    """`base` if it is free, else the first free one of `base_2`, `base_3`, ..."""
+    name, k = base, 2
+    while is_taken(name):
+        name, k = f"{base}_{k}", k + 1
+    return name
 
 
 # -- per-logic dispatch --------------------------------------------------------

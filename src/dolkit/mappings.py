@@ -9,8 +9,10 @@ mapping graph backs heterogeneous unions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+
 from .errors import LogicMismatch, NoCommonTarget, NoPath, UnknownLogic
 from .kernel import (
     Kind,
@@ -19,6 +21,7 @@ from .kernel import (
     Signature,
     Symbol,
     Theory,
+    fresh_name,
     registered_logic_ids,
 )
 from .logics import fol, prop, simpledl
@@ -140,14 +143,10 @@ def translate_theory(m: LogicMapping, t: Theory) -> tuple[Theory, list[Sentence]
         if image is None:
             dropped.append(s)
             continue
-        label = image.label
-        if label is not None and label in used_labels:
-            k = 2
-            while f"{label}_{k}" in used_labels:
-                k += 1
-            label = f"{label}_{k}"
-            image = image.with_label(label)
-        if label is not None:
+        if image.label is not None:
+            label = fresh_name(image.label, used_labels.__contains__)
+            if label != image.label:
+                image = image.with_label(label)
             used_labels.add(label)
         sentences.append(image)
     return Theory(t.name, infra.signature, tuple(sentences)), dropped
@@ -535,22 +534,29 @@ def logic_for_language(name: str) -> str:
     raise UnknownLogic(f"unknown logic or language {name!r}")
 
 
-def logic_for_extension(ext: str) -> str | None:
+def _extension_logics() -> dict[str, str]:
+    supported = {
+        e.id: e.attr("supported-by") for e in _ENTRIES if e.category is Category.ONTOLOGY_LANGUAGE
+    }
     return {
-        ".omn": "SimpleDL",
-        ".owl": "SimpleDL",
-        ".p": "FOL",
-        ".fof": "FOL",
-        ".prop": "Prop",
-    }.get(ext)
+        ext: supported[e.attr("serialization-of")]
+        for e in _ENTRIES
+        if e.category is Category.SERIALIZATION
+        for ext in (e.attr("extensions") or "").split()
+    }
+
+
+# file extension -> logic id (serialization -> language -> supported-by
+# logic), in registration order, which is the order unsuffixed IRIs probe
+EXTENSION_LOGICS = _extension_logics()
+
+
+def logic_for_extension(ext: str) -> str | None:
+    return EXTENSION_LOGICS.get(ext)
 
 
 def extensions_for_logic(logic_id: str) -> tuple[str, ...]:
-    return {
-        "SimpleDL": (".omn", ".owl"),
-        "FOL": (".p", ".fof"),
-        "Prop": (".prop",),
-    }.get(logic_id, ())
+    return tuple(ext for ext, logic in EXTENSION_LOGICS.items() if logic == logic_id)
 
 
 # -- path search -----------------------------------------------------------------
@@ -568,25 +574,6 @@ def _edges(translations_only: bool, required: Accuracy | None) -> list[LogicMapp
     return out
 
 
-def _all_paths(
-    start: str, goal: str, edges: list[LogicMapping]
-) -> list[list[LogicMapping]]:
-    paths: list[list[LogicMapping]] = []
-
-    def walk(at: str, seen: frozenset[str], acc: list[LogicMapping]) -> None:
-        if at == goal:
-            paths.append(list(acc))
-            return
-        for e in edges:
-            if e.meta.source_logic == at and e.meta.target_logic not in seen:
-                acc.append(e)
-                walk(e.meta.target_logic, seen | {e.meta.target_logic}, acc)
-                acc.pop()
-
-    walk(start, frozenset({start}), [])
-    return paths
-
-
 def find_path(
     from_logic: str,
     to_logic: str,
@@ -594,17 +581,26 @@ def find_path(
     translations_only: bool = False,
 ) -> list[LogicMapping]:
     """Shortest mapping path whose every edge declares the required accuracy;
-    ties break lexicographically on mapping ids. Empty when from == to."""
+    ties break lexicographically on mapping ids. Empty when from == to.
+
+    Breadth-first search over id-sorted edges reaches each logic first along
+    its least (length, ids) path, since every layer is queued in that order."""
     for logic_id in (from_logic, to_logic):
         if logic_id not in registered_logic_ids():
             raise UnknownLogic(f"unknown logic {logic_id!r}")
-    if from_logic == to_logic:
-        return []
-    paths = _all_paths(from_logic, to_logic, _edges(translations_only, required_accuracy))
-    if not paths:
+    edges = _edges(translations_only, required_accuracy)
+    best: dict[str, list[LogicMapping]] = {from_logic: []}
+    queue = deque([from_logic])
+    while queue and to_logic not in best:
+        at = queue.popleft()
+        for e in edges:
+            if e.meta.source_logic == at and e.meta.target_logic not in best:
+                best[e.meta.target_logic] = best[at] + [e]
+                queue.append(e.meta.target_logic)
+    if to_logic not in best:
         detail = f" with accuracy {required_accuracy.value}" if required_accuracy else ""
         raise NoPath(f"no mapping path from {from_logic} to {to_logic}{detail}")
-    return min(paths, key=lambda p: (len(p), tuple(m.meta.id for m in p)))
+    return best[to_logic]
 
 
 def common_target(logic_a: str, logic_b: str) -> tuple[str, list[LogicMapping], list[LogicMapping]]:

@@ -536,21 +536,14 @@ class _Saturation:
         return sorted(labels)
 
 
-def _ast(s) -> object:
-    return s.ast if isinstance(s, Sentence) else s
-
-
 def _input_clauses(
     sat: _Saturation, axioms: Sequence[Sentence], conjecture: Sentence
 ) -> list[Clause]:
     """Clauses of the axioms and of the negated conjecture, labelled for
     refutation tracing. Raises _Deadline once the deadline has passed."""
     sk = _Skolemizer(sat.deadline)
-    formulas = [
-        (_ast(axiom), (axiom.label if isinstance(axiom, Sentence) else None) or f"axiom_{i}")
-        for i, axiom in enumerate(axioms, 1)
-    ]
-    formulas.append((fol.FNot(_ast(conjecture)), None))
+    formulas = [(axiom.ast, axiom.label or f"axiom_{i}") for i, axiom in enumerate(axioms, 1)]
+    formulas.append((fol.FNot(conjecture.ast), None))
     initial: list[Clause] = []
     for ast, label in formulas:
         for lits in sk.formula_clauses(ast) or ():

@@ -124,18 +124,12 @@ def _dpll(clauses: list[list[int]], assignment: dict[int, bool], budget: _Budget
     return False
 
 
-def _ast(s) -> object:
-    return s.ast if isinstance(s, Sentence) else s
-
-
 def prove_prop(
     axioms: Sequence[Sentence], conjecture: Sentence, timeout_seconds: float
 ) -> ProofAttempt:
     start = time.monotonic()
     budget = _Budget(timeout_seconds)
-    labels = tuple(
-        s.label for s in axioms if isinstance(s, Sentence) and s.label is not None
-    )
+    labels = tuple(s.label for s in axioms if s.label is not None)
     if budget.exceeded():
         return ProofAttempt(
             "", PROVER_ID, ProofStatus.TMO, time.monotonic() - start,
@@ -143,8 +137,8 @@ def prove_prop(
         )
     cnf = _Cnf()
     for axiom in axioms:
-        cnf.clauses.append([cnf.literal(_ast(axiom))])
-    cnf.clauses.append([-cnf.literal(_ast(conjecture))])
+        cnf.clauses.append([cnf.literal(axiom.ast)])
+    cnf.clauses.append([-cnf.literal(conjecture.ast)])
     result = _dpll(cnf.clauses, {}, budget)
     wall = time.monotonic() - start
     if result is None:

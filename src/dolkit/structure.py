@@ -6,6 +6,12 @@ Flattening resolves references through the repository config, unions
 same-logic operands, and routes heterogeneous unions through the mapping
 graph's common target. Combination quotients the disjoint union of the
 aligned signatures by the equivalence closure the alignments induce.
+
+Each job is done once per `Env`, which caches: every definition's
+`FlatDefinition` (its theory and, for competency questions, the base and
+the conjectures), every file-backed theory by IRI, and the diagram node ids
+of files and of inline alignment sides. `combine_details` resolves its
+alignments once and builds the diagram from that `AlignmentResolution`.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .kernel import (
     SignatureMorphism,
     Symbol,
     Theory,
+    fresh_name,
     get_logic,
     signature_union,
     symbols_of,
@@ -55,21 +62,31 @@ from .logics import fol, prop, simpledl
 from .mappings import common_target, find_path, translate_along
 
 
+@dataclass(frozen=True)
+class FlatDefinition:
+    """A definition flattened once. A `then` whose extension adds no symbols
+    to its base is read as competency questions: `base` is then the flattened
+    base and `conjectures` the extension's sentences, with role CONJECTURE."""
+
+    theory: Theory
+    base: Theory | None = None
+    conjectures: tuple[Sentence, ...] = ()
+
+
 class Env:
-    """Analysis context: the parsed document, the repository config, and a
-    cache so shared bases flatten to one Theory object."""
+    """Analysis context: the parsed document, the repository config, and the
+    caches that make each piece of work happen once per Env."""
 
     def __init__(self, document: DolDocument, repo: RepoConfig, origin: str = ""):
         self.document = document
         self.repo = repo
         self.origin = origin
         self.prefixes = document.prefix_map
-        self._by_name: dict[str, Theory] = {}
+        self._definitions: dict[str, FlatDefinition] = {}
         self._by_iri: dict[str, Theory] = {}
         self._iri_nodes: dict[str, str] = {}  # iri -> graph/diagram node id
         self._expr_nodes: dict[OntologyExpr, tuple[str, Theory]] = {}
         self._node_ids: set[str] = set()
-        self._cq_mode: dict[str, bool] = {}
         # a definition that is exactly one IRI reference names that file's node
         for item in document.ontology_defs():
             if isinstance(item.expr, Ref) and item.expr.iri is not None:
@@ -82,20 +99,19 @@ class Env:
             raise UnresolvedIri(f"undefined reference {name!r}")
         return item
 
+    def _new_node_id(self, base: str) -> str:
+        node_id = fresh_name(base, self._node_ids.__contains__)
+        self._node_ids.add(node_id)
+        return node_id
+
     def node_id_for_iri(self, iri: str) -> str:
         """Stable display node id for a file-backed theory."""
         existing = self._iri_nodes.get(iri)
-        if existing is not None:
-            return existing
-        base = iri.rstrip("/").rsplit("/", 1)[-1] or iri
-        node_id = base
-        k = 2
-        while node_id in self._node_ids:
-            node_id = f"{base}_{k}"
-            k += 1
-        self._iri_nodes[iri] = node_id
-        self._node_ids.add(node_id)
-        return node_id
+        if existing is None:
+            existing = self._iri_nodes[iri] = self._new_node_id(
+                iri.rstrip("/").rsplit("/", 1)[-1] or iri
+            )
+        return existing
 
     def load_iri(self, iri: str) -> Theory:
         cached = self._by_iri.get(iri)
@@ -107,6 +123,31 @@ class Env:
                 text, name, origin=origin, prefixes=self.prefixes, label_base=name
             )
             self._by_iri[iri] = cached
+        return cached
+
+    def flat_definition(self, item: OntologyDef) -> FlatDefinition:
+        """The definition flattened, once per Env, so that shared bases are one
+        Theory object."""
+        cached = self._definitions.get(item.name)
+        if cached is None:
+            if isinstance(item.expr, Then):
+                cached = _flatten_then(item.expr, self, item.name)
+            else:
+                cached = FlatDefinition(flatten(item.expr, self, item.name))
+            self._definitions[item.name] = cached
+        return cached
+
+    def alignment_side(self, expr: OntologyExpr) -> tuple[str, Theory]:
+        """Flatten an alignment side and give it a stable diagram node id;
+        repeated occurrences of the same side share one node and theory."""
+        if isinstance(expr, Ref) and expr.iri is not None:
+            return self.node_id_for_iri(expr.iri), self.load_iri(expr.iri)
+        if isinstance(expr, Ref):
+            return expr.written, flatten(expr, self, expr.written)
+        cached = self._expr_nodes.get(expr)
+        if cached is None:
+            node_id = self._new_node_id(_expr_display(expr))
+            cached = self._expr_nodes[expr] = (node_id, flatten(expr, self, node_id))
         return cached
 
 
@@ -122,14 +163,10 @@ def _merge_sentences(groups: list[tuple[Sentence, ...]]) -> tuple[Sentence, ...]
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            label = s.label
-            if label is not None and label in used_labels:
-                k = 2
-                while f"{label}_{k}" in used_labels:
-                    k += 1
-                label = f"{label}_{k}"
-                s = s.with_label(label)
-            if label is not None:
+            if s.label is not None:
+                label = fresh_name(s.label, used_labels.__contains__)
+                if label != s.label:
+                    s = s.with_label(label)
                 used_labels.add(label)
             merged.append(s)
     return tuple(merged)
@@ -185,50 +222,31 @@ def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
             parts = _to_common_logic(name, parts)
         return _union(name or "union", parts)
     if isinstance(expr, Then):
-        return _flatten_then(expr, env, name)[0]
+        return _flatten_then(expr, env, name).theory
     if isinstance(expr, Combine):
         return combine(list(expr.alignments), env, name or "combine")
     raise TypeError(f"not an ontology expression: {expr!r}")
 
 
-def _flatten_then(expr: Then, env: Env, name: str) -> tuple[Theory, bool]:
-    """Flatten a `then` extension; returns the theory and whether the
-    extension was treated as competency-question conjectures.
-
-    An extension that introduces no symbols beyond its base is a set of
-    conjectures (proof obligations); one that declares new symbols is an
-    ordinary extension.
-    """
+def _flatten_then(expr: Then, env: Env, name: str) -> FlatDefinition:
+    """Flatten a `then` extension. An extension that introduces no symbols
+    beyond its base is a set of conjectures (proof obligations); one that
+    declares new symbols is an ordinary extension."""
     base = flatten(expr.base, env, name="")
     ext = flatten(expr.extension, env, name=name or "extension")
-    cq_mode = (
-        ext.logic_id == base.logic_id
-        and ext.signature.symbols <= base.signature.symbols
+    if ext.logic_id != base.logic_id or not ext.signature.symbols <= base.signature.symbols:
+        return FlatDefinition(_union(name or "extension", [base, ext]))
+    conjectures = tuple(s.with_role(Role.CONJECTURE) for s in ext.sentences)
+    merged = Theory(
+        name or "extension",
+        base.signature,
+        _merge_sentences([base.sentences, conjectures]),
     )
-    if cq_mode:
-        ext = dataclasses.replace(
-            ext, sentences=tuple(s.with_role(Role.CONJECTURE) for s in ext.sentences)
-        )
-        merged = Theory(
-            name or "extension",
-            base.signature,
-            _merge_sentences([base.sentences, ext.sentences]),
-        )
-    else:
-        merged = _union(name or "extension", [base, ext])
-    return merged, cq_mode
+    return FlatDefinition(merged, base, conjectures)
 
 
 def flatten_definition(item: OntologyDef, env: Env) -> Theory:
-    cached = env._by_name.get(item.name)
-    if cached is None:
-        if isinstance(item.expr, Then):
-            cached, cq = _flatten_then(item.expr, env, item.name)
-            env._cq_mode[item.name] = cq
-        else:
-            cached = flatten(item.expr, env, item.name)
-        env._by_name[item.name] = cached
-    return cached
+    return env.flat_definition(item).theory
 
 
 def validate_document(doc: DolDocument, env: Env) -> None:
@@ -297,27 +315,6 @@ def _expr_display(expr: OntologyExpr) -> str:
     return "fragment"
 
 
-def _side_theory(expr: OntologyExpr, env: Env) -> tuple[str, Theory]:
-    """Flatten an alignment side and give it a stable diagram node id;
-    repeated occurrences of the same side share one node and theory."""
-    if isinstance(expr, Ref) and expr.iri is not None:
-        return env.node_id_for_iri(expr.iri), env.load_iri(expr.iri)
-    if isinstance(expr, Ref):
-        return expr.written, flatten(expr, env, expr.written)
-    cached = env._expr_nodes.get(expr)
-    if cached is None:
-        base = _expr_display(expr)
-        node_id = base
-        k = 2
-        while node_id in env._node_ids:
-            node_id = f"{base}_{k}"
-            k += 1
-        env._node_ids.add(node_id)
-        cached = (node_id, flatten(expr, env, node_id))
-        env._expr_nodes[expr] = cached
-    return cached
-
-
 @dataclass(frozen=True)
 class ResolvedCorrespondence:
     alignment: str
@@ -328,18 +325,29 @@ class ResolvedCorrespondence:
     relation: Relation
 
 
-def resolve_alignments(
-    alignments: list[AlignmentDef], env: Env
-) -> tuple[dict[str, Theory], list[ResolvedCorrespondence]]:
+@dataclass(frozen=True)
+class AlignmentResolution:
+    """The flattened sides of a list of alignments, keyed by diagram node id
+    in first-seen order; each alignment's (left, right) node ids; and every
+    correspondence resolved to symbols, in document order."""
+
+    theories: dict[str, Theory]
+    sides: dict[str, tuple[str, str]]
+    rows: tuple[ResolvedCorrespondence, ...]
+
+
+def resolve_alignments(alignments: list[AlignmentDef], env: Env) -> AlignmentResolution:
     """Flatten all sides and resolve every correspondence to symbols."""
     theories: dict[str, Theory] = {}
-    resolved: list[ResolvedCorrespondence] = []
+    sides: dict[str, tuple[str, str]] = {}
+    rows: list[ResolvedCorrespondence] = []
     logic_ids: set[str] = set()
     for a in alignments:
-        left_id, left_t = _side_theory(a.left, env)
-        right_id, right_t = _side_theory(a.right, env)
+        left_id, left_t = env.alignment_side(a.left)
+        right_id, right_t = env.alignment_side(a.right)
         theories.setdefault(left_id, left_t)
         theories.setdefault(right_id, right_t)
+        sides[a.name] = (left_id, right_id)
         logic_ids.update({left_t.logic_id, right_t.logic_id})
         if len(logic_ids) > 1:
             raise HeterogeneousAlignment(
@@ -353,54 +361,43 @@ def resolve_alignments(
                 raise KindMismatch(
                     f"{a.name}: {ls!r} and {rs!r} have different kinds"
                 )
-            resolved.append(
-                ResolvedCorrespondence(a.name, left_id, right_id, ls, rs, corr.relation)
-            )
-    return theories, resolved
+            rows.append(ResolvedCorrespondence(a.name, left_id, right_id, ls, rs, corr.relation))
+    return AlignmentResolution(theories, sides, tuple(rows))
 
 
-def build_diagram(alignments: list[AlignmentDef], env: Env) -> Diagram:
+def build_diagram(alignments: list[AlignmentDef], resolution: AlignmentResolution) -> Diagram:
     """One node per distinct aligned theory plus one bridge node per
     alignment holding a symbol for each equivalence correspondence, with
     morphisms into both sides. Subsumption rows contribute no bridge symbols."""
-    theories, resolved = resolve_alignments(alignments, env)
+    theories = resolution.theories
     nodes: list[tuple[str, Signature]] = [
         (node_id, t.signature) for node_id, t in theories.items()
     ]
+    equivalences: dict[str, list[ResolvedCorrespondence]] = {}
+    for r in resolution.rows:
+        if r.relation is Relation.EQUIVALENT:
+            equivalences.setdefault(r.alignment, []).append(r)
+    logic_id = nodes[0][1].logic_id if nodes else "SimpleDL"
     edges: list[DiagramEdge] = []
     for a in alignments:
-        rows = [r for r in resolved if r.alignment == a.name and r.relation is Relation.EQUIVALENT]
         bridge_symbols: dict[Symbol, tuple[Symbol, Symbol]] = {}
-        for r in rows:
-            bridge_sym = Symbol(a.name, r.left.name, r.left.kind, r.left.arity)
-            k = 2
-            while bridge_sym in bridge_symbols:
-                bridge_sym = Symbol(a.name, f"{r.left.name}_{k}", r.left.kind, r.left.arity)
-                k += 1
-            bridge_symbols[bridge_sym] = (r.left, r.right)
-        logic_id = nodes[0][1].logic_id if nodes else "SimpleDL"
+        for r in equivalences.get(a.name, ()):
+            kind, arity = r.left.kind, r.left.arity
+            name = fresh_name(
+                r.left.name, lambda n: Symbol(a.name, n, kind, arity) in bridge_symbols
+            )
+            bridge_symbols[Symbol(a.name, name, kind, arity)] = (r.left, r.right)
         bridge_sig = Signature(logic_id, frozenset(bridge_symbols))
-        bridge_id = a.name
-        nodes.append((bridge_id, bridge_sig))
-        # side lookups are cached, so this re-resolution is cheap
-        left_id, _ = _side_theory(a.left, env)
-        right_id, _ = _side_theory(a.right, env)
-        left_map = {b: lr[0] for b, lr in bridge_symbols.items()}
-        right_map = {b: lr[1] for b, lr in bridge_symbols.items()}
-        edges.append(
-            DiagramEdge(
-                bridge_id,
-                left_id,
-                SignatureMorphism(bridge_sig, theories[left_id].signature, left_map),
+        nodes.append((a.name, bridge_sig))
+        for pick, side_id in enumerate(resolution.sides[a.name]):
+            mapping = {b: pair[pick] for b, pair in bridge_symbols.items()}
+            edges.append(
+                DiagramEdge(
+                    a.name,
+                    side_id,
+                    SignatureMorphism(bridge_sig, theories[side_id].signature, mapping),
+                )
             )
-        )
-        edges.append(
-            DiagramEdge(
-                bridge_id,
-                right_id,
-                SignatureMorphism(bridge_sig, theories[right_id].signature, right_map),
-            )
-        )
     return Diagram(tuple(nodes), tuple(edges))
 
 
@@ -463,19 +460,14 @@ def colimit(d: Diagram) -> tuple[Signature, dict[str, SignatureMorphism]]:
             raise KindMismatch(f"merged symbols have different kinds: {named}")
         kind, arity = next(iter(kinds))
         locals_ = sorted({s.name for _, s in members})
-        if len(members) == 1:
-            rep = members[0][1]
-        else:
-            local = locals_[0] if len(locals_) == 1 else "__".join(locals_)
-            origin = next(s.origin for _, s in members if s.name == locals_[0])
-            rep = Symbol(origin, local, kind, arity)
-        k = 2
-        base_name = rep.name
-        while (rep.qualified, rep.kind, rep.arity) in taken:
-            rep = Symbol(rep.origin, f"{base_name}_{k}", kind, arity)
-            k += 1
-        taken.add((rep.qualified, rep.kind, rep.arity))
-        rep_of[root] = rep
+        origin = next(s.origin for _, s in members if s.name == locals_[0])
+
+        def key(name: str) -> tuple[str, Kind, int]:
+            return Symbol(origin, name, kind, arity).qualified, kind, arity
+
+        local = fresh_name("__".join(locals_), lambda n: key(n) in taken)
+        taken.add(key(local))
+        rep_of[root] = Symbol(origin, local, kind, arity)
     colimit_sig = Signature(logic_id, frozenset(rep_of.values()))
     injections: dict[str, SignatureMorphism] = {}
     for node_id, sig in d.nodes:
@@ -554,16 +546,16 @@ def combine_details(alignment_names: list[str], env: Env, name: str = "combine")
         if not isinstance(item, AlignmentDef):
             raise UnresolvedIri(f"{a_name!r} is not a declared alignment")
         alignments.append(item)
-    theories, resolved = resolve_alignments(alignments, env)
-    diagram = build_diagram(alignments, env)
+    resolution = resolve_alignments(alignments, env)
+    diagram = build_diagram(alignments, resolution)
     colimit_sig, injections = colimit(diagram)
     groups: list[tuple[Sentence, ...]] = []
-    for node_id, t in theories.items():
+    for node_id, t in resolution.theories.items():
         inj = injections[node_id]
         groups.append(tuple(translate_sentence(inj, s) for s in t.sentences))
     generated: list[Sentence] = []
     counter: dict[str, int] = {}
-    for r in resolved:
+    for r in resolution.rows:
         if r.relation is not Relation.LEFT_SUBSUMED:
             continue
         counter[r.alignment] = counter.get(r.alignment, 0) + 1
@@ -608,15 +600,12 @@ def extract_obligations(doc: DolDocument, env: Env) -> list[ProofObligation]:
     for item in doc.ontology_defs():
         if not isinstance(item.expr, Then):
             continue
-        flatten_definition(item, env)  # fills the CQ-mode cache
-        if not env._cq_mode.get(item.name, False):
+        flat = env.flat_definition(item)
+        if flat.base is None:
             continue
-        base = flatten(item.expr.base, env)
-        ext = flatten(item.expr.extension, env, name=item.name)
-        conjectures = [s.with_role(Role.CONJECTURE) for s in ext.sentences]
-        for k, s in enumerate(conjectures, 1):
-            ob_name = item.name if len(conjectures) == 1 else f"{item.name}_{k}"
-            obligations.append(ProofObligation(ob_name, base, s.with_label(ob_name)))
+        for k, s in enumerate(flat.conjectures, 1):
+            ob_name = item.name if len(flat.conjectures) == 1 else f"{item.name}_{k}"
+            obligations.append(ProofObligation(ob_name, flat.base, s.with_label(ob_name)))
     return obligations
 
 
@@ -672,8 +661,7 @@ def dev_graph(doc: DolDocument, env: Env) -> DevGraph:
             add_node(item.name)
             expr = item.expr
             if isinstance(expr, Then):
-                flatten_definition(item, env)
-                cq = env._cq_mode.get(item.name, False)
+                cq = env.flat_definition(item).base is not None
                 link_type = LinkType.OBLIGATION_OF if cq else LinkType.IMPORT
                 for base_node in operand_nodes(expr.base):
                     if cq:

@@ -25,7 +25,7 @@ from dolkit.prove import AttemptConfig, finalize_status, prove_all, prove_prop
 from dolkit.prove.fol_prover import prove_fol_internal
 from dolkit.prove.status import ProofStatus
 from dolkit.select import SineParams, sine_select
-from dolkit.structure import build_diagram, colimit
+from dolkit.structure import build_diagram, colimit, resolve_alignments
 
 from conftest import FIXTURES, gen_prop_ast, gen_prop_theory, tt_entails
 from test_kernel import _random_morphism, psig
@@ -61,7 +61,8 @@ def test_corpus_round_trip():
 
 @criterion(2, "combination equals the equivalence-closure oracle, cocone exact")
 def test_combination_oracle(alignments_doc, alignments_env):
-    diagram = build_diagram(alignments_doc.alignment_defs(), alignments_env)
+    defs = alignments_doc.alignment_defs()
+    diagram = build_diagram(defs, resolve_alignments(defs, alignments_env))
     _, injections = colimit(diagram)
     items = [(n, s) for n, sig in diagram.nodes for s in sig.symbols]
     pairs = [

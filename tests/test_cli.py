@@ -340,3 +340,22 @@ class TestExitCodeContract:
         for argv, expected in cases:
             code, _, _ = run(capsys, *argv)
             assert code == expected, argv
+
+
+class TestInProcess:
+    def test_redirected_streams_are_released(self):
+        # callers such as the benchmark run main() many times in one process,
+        # each time into fresh buffers; none of them may outlive its run
+        import contextlib
+        import gc
+        import io
+        import weakref
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["--repo", REPO, "combine", ALIGNMENTS, "--ontology", "Space"]) == 0
+        assert out.getvalue() and err.getvalue()
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert [r() for r in refs] == [None, None]

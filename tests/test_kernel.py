@@ -72,11 +72,11 @@ class TestCompose:
     def test_alignment_induced_then_identity(self, alignments_env):
         # the endurant -> Presential bridge morphism composed with the
         # identity keeps the image intact
-        from dolkit.structure import build_diagram
+        from dolkit.structure import build_diagram, resolve_alignments
 
         doc = alignments_env.document
         d2g = next(a for a in doc.alignment_defs() if a.name == "DolceLite2GFO")
-        diagram = build_diagram([d2g], alignments_env)
+        diagram = build_diagram([d2g], resolve_alignments([d2g], alignments_env))
         to_gfo = next(e for e in diagram.edges if e.target == "gfo.owl")
         composed = compose(to_gfo.morphism, identity(to_gfo.morphism.target))
         assert composed == to_gfo.morphism

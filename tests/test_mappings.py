@@ -275,3 +275,131 @@ class TestProp2FolFaithfulness:
                 continue
             assert (attempt.status is ProofStatus.THM) == expected
         assert timeouts <= 2
+
+
+class TestTranslateTheoryLabels:
+    def test_source_labels_colliding_with_neq_facts(self):
+        logic = SimpleDlLogic()
+        source = logic.parse_theory(
+            "Individual: a Types: C\nIndividual: b Types: C\n", "t", label_base="x"
+        )
+        labels = ["neq_1", "neq_1_2"]
+        source = Theory(
+            "t",
+            source.signature,
+            tuple(s.with_label(l) for s, l in zip(source.sentences, labels)),
+        )
+        out, dropped = translate_theory(get_mapping("dl2fol"), source)
+        assert dropped == []
+        assert [s.label for s in out.sentences] == ["neq_1", "neq_2", "neq_1_2", "neq_1_2_2"]
+
+
+# find_path over every ordered pair of distinct registered logics, keyed by
+# (from, to, required accuracy or None, translations_only), as a search over
+# all simple paths gives it for the built-in mappings. Absent keys: NoPath.
+FIND_PATH_TABLE = {
+    ("FOL", "Prop", None, False): "fol2prop",
+    **{
+        ("Prop", "FOL", a, t): "prop2fol"
+        for a in (None, "SUBLOGIC", "EMBEDDING", "FAITHFUL")
+        for t in (False, True)
+    },
+    **{
+        ("SimpleDL", "FOL", a, t): "dl2fol"
+        for a in (None, "EMBEDDING", "FAITHFUL")
+        for t in (False, True)
+    },
+    ("SimpleDL", "Prop", None, False): "dl2fol fol2prop",
+}
+
+
+class TestFindPathTable:
+    @pytest.mark.parametrize("translations_only", [False, True])
+    @pytest.mark.parametrize("accuracy", [None, *Accuracy])
+    def test_every_pair(self, accuracy, translations_only):
+        logic_ids = ["FOL", "Prop", "SimpleDL"]
+        for a in logic_ids:
+            for b in logic_ids:
+                key = (a, b, accuracy.name if accuracy else None, translations_only)
+                if a == b:
+                    assert find_path(a, b, accuracy, translations_only) == []
+                elif key in FIND_PATH_TABLE:
+                    path = find_path(a, b, accuracy, translations_only)
+                    assert " ".join(m.meta.id for m in path) == FIND_PATH_TABLE[key]
+                else:
+                    detail = f" with accuracy {accuracy.value}" if accuracy else ""
+                    with pytest.raises(NoPath, match=f"^no mapping path from {a} to {b}{detail}$"):
+                        find_path(a, b, accuracy, translations_only)
+
+    def test_ties_break_like_exhaustive_search(self, monkeypatch):
+        """On random mapping graphs, the path equals the minimum of
+        (length, mapping ids) over all simple paths."""
+        import dolkit.mappings as mappings
+        from dolkit.mappings import LogicMapping
+
+        def all_simple_paths(start, goal, edges):
+            out = []
+
+            def walk(at, seen, acc):
+                if at == goal:
+                    out.append(list(acc))
+                    return
+                for e in edges:
+                    if e.meta.source_logic == at and e.meta.target_logic not in seen:
+                        walk(e.meta.target_logic, seen | {e.meta.target_logic}, acc + [e])
+
+            walk(start, {start}, [])
+            return out
+
+        rng = random.Random(7)
+        logic_ids = ["FOL", "Prop", "SimpleDL"]
+        for _ in range(200):
+            fake = {}
+            for _ in range(rng.randint(0, 7)):
+                src, dst = rng.sample(logic_ids, 2)
+                m = LogicMapping()
+                m.meta = MappingMeta(
+                    "".join(rng.choice("abc") for _ in range(2)) + str(len(fake)),
+                    src,
+                    dst,
+                    rng.choice(list(Direction)),
+                    Shape.PLAIN,
+                    frozenset(rng.sample(list(Accuracy), rng.randint(0, 2))),
+                )
+                fake[m.meta.id] = m
+            monkeypatch.setattr(mappings, "_MAPPINGS", fake)
+            for a in logic_ids:
+                for b in logic_ids:
+                    if a == b:
+                        continue
+                    accuracy = rng.choice([None, *Accuracy])
+                    only = rng.random() < 0.5
+                    edges = [
+                        fake[i]
+                        for i in sorted(fake)
+                        if (not only or fake[i].meta.direction is Direction.TRANSLATION)
+                        and (accuracy is None or accuracy in fake[i].meta.accuracy)
+                    ]
+                    paths = all_simple_paths(a, b, edges)
+                    if not paths:
+                        with pytest.raises(NoPath):
+                            find_path(a, b, accuracy, only)
+                        continue
+                    best = min(paths, key=lambda p: (len(p), tuple(m.meta.id for m in p)))
+                    assert find_path(a, b, accuracy, only) == best
+
+
+class TestExtensions:
+    def test_extension_lookups(self):
+        from dolkit.mappings import EXTENSION_LOGICS, extensions_for_logic, logic_for_extension
+
+        probe_order = (".omn", ".owl", ".p", ".fof", ".prop")
+        assert tuple(EXTENSION_LOGICS) == probe_order
+        assert [logic_for_extension(e) for e in probe_order] == [
+            "SimpleDL", "SimpleDL", "FOL", "FOL", "Prop",
+        ]
+        assert logic_for_extension(".dol") is None and logic_for_extension("") is None
+        assert extensions_for_logic("SimpleDL") == (".omn", ".owl")
+        assert extensions_for_logic("FOL") == (".p", ".fof")
+        assert extensions_for_logic("Prop") == (".prop",)
+        assert extensions_for_logic("Nonesuch") == ()

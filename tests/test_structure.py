@@ -36,6 +36,7 @@ from dolkit.structure import (
     flatten_definition,
     graph_to_dict,
     graph_to_dot,
+    resolve_alignments,
     validate_acyclic,
 )
 
@@ -139,7 +140,8 @@ class TestFlatten:
 
 class TestBuildDiagram:
     def test_three_alignments_make_six_nodes(self, alignments_doc, alignments_env):
-        d = build_diagram(alignments_doc.alignment_defs(), alignments_env)
+        defs = alignments_doc.alignment_defs()
+        d = build_diagram(defs, resolve_alignments(defs, alignments_env))
         node_ids = [n for n, _ in d.nodes]
         assert node_ids == [
             "DOLCE-Lite.owl",
@@ -162,7 +164,8 @@ class TestBuildDiagram:
             "alignment OnlySub : dolce:DOLCE-Lite.owl to gfo:gfo.owl = part < abstract_has_part end\n"
         )
         env = Env(doc, repo)
-        d = build_diagram(doc.alignment_defs(), env)
+        defs = doc.alignment_defs()
+        d = build_diagram(defs, resolve_alignments(defs, env))
         assert d.node_map()["OnlySub"].symbols == frozenset()
 
     def test_kind_mismatch(self, repo):
@@ -172,11 +175,8 @@ class TestBuildDiagram:
             "alignment Bad : dolce:DOLCE-Lite.owl to gfo:gfo.owl = endurant = necessary_for end\n"
         )
         with pytest.raises(KindMismatch):
-            build_diagram(parse_document(
-                "%prefix( dolce: <http://www.loa-cnr.it/ontologies/> gfo: <http://www.onto-med.de/ontologies/> )%\n"
-                "logic OWL\n"
-                "alignment Bad : dolce:DOLCE-Lite.owl to gfo:gfo.owl = endurant = necessary_for end\n"
-            ).alignment_defs(), Env(doc, repo))
+            defs = doc.alignment_defs()
+            build_diagram(defs, resolve_alignments(defs, Env(doc, repo)))
 
     def test_unresolved_correspondence(self, repo):
         doc = parse_document(
@@ -185,7 +185,8 @@ class TestBuildDiagram:
             "alignment Bad : dolce:DOLCE-Lite.owl to gfo:gfo.owl = nonesuch = Entity end\n"
         )
         with pytest.raises(UnresolvedCorrespondence):
-            build_diagram(doc.alignment_defs(), Env(doc, repo))
+            defs = doc.alignment_defs()
+            build_diagram(defs, resolve_alignments(defs, Env(doc, repo)))
 
     def test_sides_in_different_logics_are_rejected(self, tmp_path):
         from dolkit.dolparse import RepoEntry
@@ -198,7 +199,8 @@ class TestBuildDiagram:
         )
         env = Env(doc, RepoConfig((("http://x/", RepoEntry(tmp_path)),)))
         with pytest.raises(HeterogeneousAlignment):
-            build_diagram(doc.alignment_defs(), env)
+            defs = doc.alignment_defs()
+            build_diagram(defs, resolve_alignments(defs, env))
 
     def test_union_expression_as_alignment_side(self, repo):
         doc = parse_document(
@@ -209,7 +211,8 @@ class TestBuildDiagram:
             "  endurant = Presential, IndependentContinuant = Presential end\n"
         )
         env = Env(doc, repo)
-        d = build_diagram(doc.alignment_defs(), env)
+        defs = doc.alignment_defs()
+        d = build_diagram(defs, resolve_alignments(defs, env))
         node_ids = [n for n, _ in d.nodes]
         union_node = "dolce:DOLCE-Lite.owl_and_bfo:1.1"
         assert union_node in node_ids
@@ -234,7 +237,8 @@ class TestColimit:
         assert all(inj["n"].apply(s) == s for s in sig.symbols)
 
     def test_merged_class_representatives(self, alignments_doc, alignments_env):
-        d = build_diagram(alignments_doc.alignment_defs(), alignments_env)
+        defs = alignments_doc.alignment_defs()
+        d = build_diagram(defs, resolve_alignments(defs, alignments_env))
         _, inj = colimit(d)
         dolce = "http://www.loa-cnr.it/ontologies/"
         bfo = "http://www.ifomis.org/bfo/"
@@ -249,7 +253,8 @@ class TestColimit:
         assert perdurant == occ_bfo == occ_gfo
 
     def test_partition_matches_closure_oracle(self, alignments_doc, alignments_env):
-        d = build_diagram(alignments_doc.alignment_defs(), alignments_env)
+        defs = alignments_doc.alignment_defs()
+        d = build_diagram(defs, resolve_alignments(defs, alignments_env))
         _, inj = colimit(d)
         items = [(n, s) for n, sig in d.nodes for s in sig.symbols]
         pairs = [
@@ -260,7 +265,8 @@ class TestColimit:
         assert colimit_partition(d, inj) == closure_oracle(items, pairs)
 
     def test_cocone_equations_exact(self, alignments_doc, alignments_env):
-        d = build_diagram(alignments_doc.alignment_defs(), alignments_env)
+        defs = alignments_doc.alignment_defs()
+        d = build_diagram(defs, resolve_alignments(defs, alignments_env))
         _, inj = colimit(d)
         for e in d.edges:
             for s in e.morphism.source.symbols:
@@ -452,3 +458,88 @@ class TestDevGraph:
         data = graph_to_dict(dev_graph(family_doc, family_env))
         assert set(data) == {"nodes", "links"}
         assert {n["id"] for n in data["nodes"]} >= {"CQbase", "chrisFather"}
+
+
+class TestFreshNames:
+    """Each place that makes a name unique appends `_2`, `_3`, ... to the
+    wanted name until it is free; the exact names are part of the output."""
+
+    @pytest.fixture()
+    def two_x_repo(self, tmp_path):
+        from dolkit.dolparse import RepoEntry
+
+        entries = []
+        for part in ("a", "b", "c"):
+            (tmp_path / part).mkdir()
+            (tmp_path / part / "x.omn").write_text("Class: C\n")
+            entries.append((f"http://{part}/", RepoEntry(tmp_path / part)))
+        return RepoConfig(tuple(entries))
+
+    def test_iris_with_the_same_last_segment(self, two_x_repo):
+        doc = parse_document(
+            "logic OWL\n"
+            "alignment AB : <http://a/x> to <http://b/x> = C = C end\n"
+            "alignment BC : <http://b/x> to <http://c/x> = C = C end\n"
+            "ontology Both = combine AB, BC\n"
+        )
+        env = Env(doc, two_x_repo)
+        result = combine_details(["AB", "BC"], env, "Both")
+        assert [n for n, _ in result.diagram.nodes] == ["x", "x_2", "x_3", "AB", "BC"]
+        assert env.node_id_for_iri("http://b/x") == "x_2"
+        assert dev_graph(doc, env).nodes == ("AB", "x", "x_2", "BC", "x_3", "Both")
+
+    def test_inline_sides_with_the_same_display_name(self):
+        doc = parse_document(
+            "logic FOL\n"
+            "alignment X : { fof(l, axiom, p). } to { fof(r, axiom, q). } = p = q end\n"
+        )
+        result = combine_details(["X"], Env(doc, RepoConfig()))
+        assert [n for n, _ in result.diagram.nodes] == ["fragment", "fragment_2", "X"]
+
+    def test_merged_labels(self):
+        doc = parse_document(
+            "logic FOL\n"
+            "ontology U = { fof(a, axiom, p). } and { fof(a, axiom, q). }"
+            " and { fof(a_2, axiom, r). }\n"
+        )
+        env = Env(doc, RepoConfig())
+        u = flatten_definition(doc.ontology_defs()[0], env)
+        assert [s.label for s in u.sentences] == ["a", "a_2", "a_2_2"]
+        validate_theory(u)
+
+    def test_equivalence_rows_sharing_a_left_local_name(self, two_x_repo):
+        doc = parse_document(
+            "%prefix( a: <http://a/> b: <http://b/> c: <http://c/> )%\n"
+            "logic OWL\n"
+            "alignment X : a:x and b:x to c:x = a:C = c:C, b:C = c:C end\n"
+        )
+        result = combine_details(["X"], Env(doc, two_x_repo))
+        bridge = result.diagram.node_map()["X"]
+        assert sorted(s.name for s in bridge.symbols) == ["C", "C_2"]
+        assert sorted(s.name for s in result.theory.signature.symbols) == ["C__C_2"]
+
+    def test_equivalence_rows_sharing_a_left_symbol(self):
+        doc = parse_document(
+            "logic FOL\n"
+            "alignment X : { fof(l, axiom, p). } to { fof(r, axiom, q & s & t). } =\n"
+            "  p = q, p = s, p = t end\n"
+        )
+        result = combine_details(["X"], Env(doc, RepoConfig()))
+        bridge = result.diagram.node_map()["X"]
+        assert sorted(s.name for s in bridge.symbols) == ["p", "p_2", "p_3"]
+        assert sorted(s.name for s in result.theory.signature.symbols) == [
+            "p__p_2__p_3__q__s__t"
+        ]
+
+    def test_colliding_colimit_representatives(self):
+        a = Symbol("o", "A", Kind.CLASS)
+        a2 = Symbol("o", "A_2", Kind.CLASS)
+        nodes = (
+            ("n1", Signature("SimpleDL", frozenset({a}))),
+            ("n2", Signature("SimpleDL", frozenset({a}))),
+            ("n3", Signature("SimpleDL", frozenset({a, a2}))),
+        )
+        sig, inj = colimit(Diagram(nodes, ()))
+        assert sorted(s.name for s in sig.symbols) == ["A", "A_2", "A_2_2", "A_3"]
+        assert [inj[n].apply(a).name for n, _ in nodes] == ["A", "A_2", "A_3"]
+        assert inj["n3"].apply(a2).name == "A_2_2"
