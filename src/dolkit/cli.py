@@ -18,10 +18,11 @@ from pathlib import Path
 import click
 
 from .dolparse import Combine, DolDocument, OntologyDef, RepoConfig, parse_document
-from .errors import DolkitError, NotACombine
+from .errors import DolkitError, NestingTooDeep, NotACombine
 from .kernel import get_logic
 from .mappings import Category, registry_list
 from .prove import (
+    BUILTIN_PROVERS,
     AttemptConfig,
     ManualAxioms,
     ProverKind,
@@ -165,10 +166,8 @@ def cmd_analyze(repo_path: str | None, file: str) -> int:
 
 
 def _parse_prover(value: str) -> ProverSpec:
-    if value == "internal-fol":
-        return ProverSpec("internal-fol", ProverKind.INTERNAL_FOL)
-    if value == "internal-prop":
-        return ProverSpec("internal-prop", ProverKind.INTERNAL_PROP)
+    if value in BUILTIN_PROVERS:
+        return BUILTIN_PROVERS[value]
     if "=" in value:
         prover_id, command = value.split("=", 1)
         tokens = tuple(shlex.split(command))
@@ -176,7 +175,7 @@ def _parse_prover(value: str) -> ProverSpec:
             raise click.UsageError(f"bad external prover spec {value!r}")
         return ProverSpec(prover_id, ProverKind.EXTERNAL_TPTP, tokens)
     raise click.UsageError(
-        f"unknown prover {value!r} (use internal-fol, internal-prop, or id=command)"
+        f"unknown prover {value!r} (use {', '.join(BUILTIN_PROVERS)}, or id=command)"
     )
 
 
@@ -326,9 +325,10 @@ def main(argv: list[str] | None = None) -> int:
         return e.exit_code
     except click.exceptions.Abort:
         return 130
-    except DolkitError as e:
-        _echo(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, indent=2))
-        _echo(f"error: {e}", err=True)
+    except (DolkitError, RecursionError) as e:
+        error = e if isinstance(e, DolkitError) else NestingTooDeep()
+        _echo(json.dumps({"error": {"type": type(error).__name__, "message": str(error)}}, indent=2))
+        _echo(f"error: {error}", err=True)
         return 1
     except OSError as e:
         _echo(json.dumps({"error": {"type": "IoError", "message": str(e)}}, indent=2))

@@ -38,7 +38,7 @@ from .errors import (
     UnknownLogic,
     UnresolvedIri,
 )
-from .logics._scan import Tok, TokenCursor
+from .logics._scan import Tok, TokenCursor, scan
 from .mappings import (
     EXTENSION_LOGICS,
     extensions_for_logic,
@@ -58,54 +58,23 @@ _MASTER = re.compile(
     r"|(?P<GT>>)"
     r"|(?P<COMMA>,)"
     r"|(?P<COLON>:)"
-    r"|(?P<LBRACE>\{)"
+    r"|(?P<BASIC>\{)"
 )
 
 _KEYWORDS = frozenset({"logic", "ontology", "alignment", "combine", "and", "then", "to", "end"})
 
 
-def _tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    line, col = 1, 1
-    pos = 0
+_BRACE = re.compile(r"[{}]")
 
-    def bump(piece: str) -> None:
-        nonlocal line, col
-        newlines = piece.count("\n")
-        if newlines:
-            line += newlines
-            col = len(piece) - piece.rfind("\n")
-        else:
-            col += len(piece)
 
-    while pos < len(text):
-        m = _MASTER.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        piece = m.group()
-        if kind == "LBRACE":
-            depth = 1
-            end = pos + 1
-            while end < len(text) and depth:
-                if text[end] == "{":
-                    depth += 1
-                elif text[end] == "}":
-                    depth -= 1
-                end += 1
-            if depth:
-                raise ParseError("unbalanced '{' in basic fragment", line, col)
-            inner = text[pos + 1 : end - 1]
-            toks.append(Tok("BASIC", inner, line, col))
-            bump(text[pos:end])
-            pos = end
-            continue
-        if kind not in ("WS", "COMMENT"):
-            toks.append(Tok(kind, piece, line, col))
-        bump(piece)
-        pos = m.end()
-    toks.append(Tok("EOF", "", line, col))
-    return toks
+def _basic_end(text: str, start: int, line: int, col: int) -> int:
+    """End of the balanced `{ ... }` block that opens at `start`."""
+    depth = 0
+    for m in _BRACE.finditer(text, start):
+        depth += 1 if m.group() == "{" else -1
+        if not depth:
+            return m.end()
+    raise ParseError("unbalanced '{' in basic fragment", line, col)
 
 
 # -- document AST ----------------------------------------------------------------
@@ -443,6 +412,12 @@ class _DolParser:
                     raise UnresolvedIri(
                         f"combine references undeclared alignment(s): {', '.join(missing)}"
                     )
+                repeated = sorted({n for n in expr.alignments if expr.alignments.count(n) > 1})
+                if repeated:
+                    raise DuplicateName(
+                        f"combine names alignment(s) more than once: "
+                        f"{', '.join(map(repr, repeated))}"
+                    )
             elif isinstance(expr, And):
                 for op in expr.operands:
                     check(op)
@@ -455,7 +430,10 @@ class _DolParser:
 
 def parse_document(text: str) -> DolDocument:
     """Parse a DOL document; raises ParseError and friends on bad input."""
-    return _DolParser(_tokenize(text)).document()
+    toks = scan(text, _MASTER, token_end={"BASIC": _basic_end})
+    # a BASIC token stands for the fragment inside its braces
+    toks = [Tok(t.kind, t.text[1:-1], t.line, t.col) if t.kind == "BASIC" else t for t in toks]
+    return _DolParser(toks).document()
 
 
 # -- printing -------------------------------------------------------------------

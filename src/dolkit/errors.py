@@ -7,6 +7,14 @@ class DolkitError(Exception):
     """Base class for every error raised by dolkit."""
 
 
+class NestingTooDeep(DolkitError):
+    """Input nests deeper than the recursive parsers, translations and
+    provers can follow."""
+
+    def __init__(self) -> None:
+        super().__init__("input nests deeper than the recursion limit")
+
+
 class ParseError(DolkitError):
     """Syntax error in any of the text formats, with source position."""
 
@@ -132,10 +140,6 @@ class UnknownAxiomName(DolkitError):
 
 class UnsupportedFeature(DolkitError):
     """Input uses a feature the internal prover does not handle (e.g. equality)."""
-
-
-class SpawnFailure(DolkitError):
-    """External prover process could not be started."""
 
 
 # -- cli ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from ..errors import ParseError
 
@@ -22,12 +23,16 @@ def scan(
     skip: frozenset[str] = frozenset({"WS", "COMMENT"}),
     start_line: int = 1,
     start_col: int = 1,
+    token_end: Mapping[str, Callable[[str, int, int, int], int]] | None = None,
 ) -> list[Tok]:
     """Tokenize `text` with a named-group master regex.
 
     Group names become token kinds; groups named in `skip` are dropped.
     Unmatchable input raises ParseError at its position. `start_line/col`
     shift positions for fragments embedded in a larger document.
+    `token_end` maps a kind whose regex only opens its token to a function
+    `(text, start, line, col) -> end` that finds where the token ends, or
+    raises ParseError at `line:col` when it cannot end.
     """
     toks: list[Tok] = []
     line, col = start_line, start_col
@@ -37,7 +42,10 @@ def scan(
         if m is None or m.end() == pos:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup or ""
-        piece = m.group()
+        end = m.end()
+        if token_end is not None and kind in token_end:
+            end = token_end[kind](text, pos, line, col)
+        piece = text[pos:end]
         if kind not in skip:
             toks.append(Tok(kind, piece, line, col))
         newlines = piece.count("\n")
@@ -46,7 +54,7 @@ def scan(
             col = len(piece) - piece.rfind("\n")
         else:
             col += len(piece)
-        pos = m.end()
+        pos = end
     toks.append(Tok("EOF", "", line, col))
     return toks
 

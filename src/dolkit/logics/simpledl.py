@@ -360,11 +360,9 @@ def parse_dl_frames(
     text: str,
     origin: str = "",
     prefixes: Mapping[str, str] | None = None,
-    start_line: int = 1,
-    start_col: int = 1,
 ) -> tuple[list[DlAst], frozenset[Symbol]]:
     """Parse frame text; returns the sentences and the declared symbols."""
-    cur = TokenCursor(scan(text, _TOKENS, start_line=start_line, start_col=start_col))
+    cur = TokenCursor(scan(text, _TOKENS))
     parser = _FrameParser(cur, _Names(origin, prefixes))
     parser.document()
     return parser.sentences, frozenset(parser.declared)

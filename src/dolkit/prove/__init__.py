@@ -10,6 +10,7 @@ from .external import (
 )
 from .fol_prover import prove_fol_internal
 from .orchestrate import (
+    BUILTIN_PROVERS,
     DEFAULT_PROVER,
     AttemptConfig,
     ManualAxioms,
@@ -17,7 +18,7 @@ from .orchestrate import (
     run_attempt,
 )
 from .prop_prover import prove_prop
-from .status import ProofAttempt, ProofStatus, attempt_to_dict, finalize_status
+from .status import ProofAttempt, ProofStatus, Verdict, attempt_to_dict, finalize_status
 
 __all__ = [
     "GRACE_SECONDS",
@@ -27,6 +28,7 @@ __all__ = [
     "prove_external",
     "prove_fol_internal",
     "prove_prop",
+    "BUILTIN_PROVERS",
     "DEFAULT_PROVER",
     "AttemptConfig",
     "ManualAxioms",
@@ -34,6 +36,7 @@ __all__ = [
     "run_attempt",
     "ProofAttempt",
     "ProofStatus",
+    "Verdict",
     "attempt_to_dict",
     "finalize_status",
 ]

@@ -7,12 +7,11 @@ import os
 import re
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .status import ProofAttempt, ProofStatus
+from .status import ProofStatus, Verdict
 
 GRACE_SECONDS = 1.0
 
@@ -58,8 +57,7 @@ def prove_external(
     workdir: str | Path | None = None,
     keep_file: bool = False,
     problem_name: str = "problem",
-) -> ProofAttempt:
-    start = time.monotonic()
+) -> Verdict:
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
     fd, raw_path = tempfile.mkstemp(
@@ -96,11 +94,4 @@ def prove_external(
     finally:
         if not keep_file:
             path.unlink(missing_ok=True)
-    return ProofAttempt(
-        "",
-        prover.id,
-        status,
-        time.monotonic() - start,
-        output=output,
-        timeout_seconds=timeout_seconds,
-    )
+    return Verdict(status, output)

@@ -42,9 +42,7 @@ from typing import Iterable, Sequence
 from ..errors import UnsupportedFeature
 from ..kernel import Sentence
 from ..logics import fol
-from .status import ProofAttempt, ProofStatus
-
-PROVER_ID = "internal-fol"
+from .status import ProofStatus, Verdict
 
 DEFAULT_CLAUSE_CAP = 100_000
 _AGE_PICK_EVERY = 5
@@ -560,17 +558,12 @@ def prove_fol_internal(
     conjecture: Sentence,
     timeout_seconds: float,
     clause_cap: int = DEFAULT_CLAUSE_CAP,
-) -> ProofAttempt:
-    start = time.monotonic()
-    sat = _Saturation(start + timeout_seconds, clause_cap)
+) -> Verdict:
+    sat = _Saturation(time.monotonic() + timeout_seconds, clause_cap)
     try:
         initial = _input_clauses(sat, axioms, conjecture)
     except _Deadline:
-        return ProofAttempt(
-            "", PROVER_ID, ProofStatus.TMO, time.monotonic() - start,
-            output="clausification stopped at the deadline",
-            timeout_seconds=timeout_seconds,
-        )
+        return Verdict(ProofStatus.TMO, "clausification stopped at the deadline")
     empty: Clause | None = None
     for clause in initial:
         empty = sat.push(clause) or empty
@@ -597,24 +590,13 @@ def prove_fol_internal(
             if result is not None:
                 empty = result
                 break
-    wall = time.monotonic() - start
     if empty is not None:
-        used = tuple(sat.used_labels(empty))
-        return ProofAttempt(
-            "", PROVER_ID, ProofStatus.THM, wall,
-            output=f"refutation found after {len(sat.processed)} processed clauses",
-            used_axioms=used,
-            timeout_seconds=timeout_seconds,
+        return Verdict(
+            ProofStatus.THM,
+            f"refutation found after {len(sat.processed)} processed clauses",
+            tuple(sat.used_labels(empty)),
         )
     if timed_out:
         reason = "clause cap" if sat.next_id > clause_cap else "deadline"
-        return ProofAttempt(
-            "", PROVER_ID, ProofStatus.TMO, wall,
-            output=f"search stopped at the {reason}",
-            timeout_seconds=timeout_seconds,
-        )
-    return ProofAttempt(
-        "", PROVER_ID, ProofStatus.CSA, wall,
-        output=f"saturated with {len(sat.processed)} processed clauses",
-        timeout_seconds=timeout_seconds,
-    )
+        return Verdict(ProofStatus.TMO, f"search stopped at the {reason}")
+    return Verdict(ProofStatus.CSA, f"saturated with {len(sat.processed)} processed clauses")

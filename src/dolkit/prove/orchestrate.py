@@ -5,14 +5,13 @@ attempt the configuration spawns and statuses refined through finalize_status.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from ..errors import DolkitError
+from ..errors import DolkitError, NestingTooDeep
 from ..kernel import Sentence, Theory, symbols_of
 from ..logics import print_tptp
 from ..mappings import Accuracy, find_path, translate_along
@@ -27,9 +26,13 @@ from ..structure import ProofObligation
 from .external import ProverKind, ProverSpec, prove_external
 from .fol_prover import prove_fol_internal
 from .prop_prover import prove_prop
-from .status import ProofAttempt, ProofStatus, finalize_status
+from .status import ProofAttempt, ProofStatus, Verdict, finalize_status
 
 DEFAULT_PROVER = ProverSpec("internal-fol", ProverKind.INTERNAL_FOL)
+# the built-in provers by id; any other prover is an external TPTP command
+BUILTIN_PROVERS = {
+    p.id: p for p in (DEFAULT_PROVER, ProverSpec("internal-prop", ProverKind.INTERNAL_PROP))
+}
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,8 @@ def run_attempt(
     selection: Selection,
     config: AttemptConfig,
 ) -> ProofAttempt:
+    """One attempt; its wall time spans translation and proof, and an error
+    on the way becomes an ERR attempt."""
     start = time.monotonic()
     provided = selection.labels
     try:
@@ -125,13 +130,15 @@ def run_attempt(
         # snapshot what the prover actually receives (translation may add
         # infrastructure axioms on top of the selection)
         provided = tuple(a.label or "" for a in axioms)
+        # the provers are module attributes looked up per call, so that a
+        # caller may rebind them (the benchmark's tracer does)
         if prover.kind is ProverKind.INTERNAL_PROP:
-            attempt = prove_prop(axioms, conjecture, config.timeout_seconds)
+            verdict = prove_prop(axioms, conjecture, config.timeout_seconds)
         elif prover.kind is ProverKind.INTERNAL_FOL:
-            attempt = prove_fol_internal(axioms, conjecture, config.timeout_seconds)
+            verdict = prove_fol_internal(axioms, conjecture, config.timeout_seconds)
         else:
             text = _tptp_problem(axioms, conjecture, config.prefixes)
-            attempt = prove_external(
+            verdict = prove_external(
                 text,
                 prover,
                 config.timeout_seconds,
@@ -139,23 +146,19 @@ def run_attempt(
                 keep_file=config.keep_temp,
                 problem_name=obligation.name,
             )
-    except DolkitError as e:
-        attempt = ProofAttempt(
-            obligation.name,
-            prover.id,
-            ProofStatus.ERR,
-            time.monotonic() - start,
-            output=f"{type(e).__name__}: {e}",
-            timeout_seconds=config.timeout_seconds,
-        )
-    return dataclasses.replace(
-        attempt,
+    except (DolkitError, RecursionError) as e:
+        error = e if isinstance(e, DolkitError) else NestingTooDeep()
+        verdict = Verdict(ProofStatus.ERR, f"{type(error).__name__}: {error}")
+    return ProofAttempt(
         obligation=obligation.name,
         prover=prover.id,
-        status=finalize_status(attempt.status, selection),
+        status=finalize_status(verdict.status, selection),
+        wall_time=time.monotonic() - start,
+        output=verdict.output,
+        used_axioms=verdict.used_axioms,
+        timeout_seconds=config.timeout_seconds,
         provided_axioms=provided,
         selection=selection,
-        timeout_seconds=config.timeout_seconds,
     )
 
 

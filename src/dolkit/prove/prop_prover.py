@@ -9,9 +9,7 @@ from typing import Sequence
 
 from ..kernel import Sentence
 from ..logics import prop
-from .status import ProofAttempt, ProofStatus
-
-PROVER_ID = "internal-prop"
+from .status import ProofStatus, Verdict
 
 
 class _Budget:
@@ -126,35 +124,21 @@ def _dpll(clauses: list[list[int]], assignment: dict[int, bool], budget: _Budget
 
 def prove_prop(
     axioms: Sequence[Sentence], conjecture: Sentence, timeout_seconds: float
-) -> ProofAttempt:
-    start = time.monotonic()
+) -> Verdict:
     budget = _Budget(timeout_seconds)
-    labels = tuple(s.label for s in axioms if s.label is not None)
     if budget.exceeded():
-        return ProofAttempt(
-            "", PROVER_ID, ProofStatus.TMO, time.monotonic() - start,
-            output="timeout before search", timeout_seconds=timeout_seconds,
-        )
+        return Verdict(ProofStatus.TMO, "timeout before search")
     cnf = _Cnf()
     for axiom in axioms:
         cnf.clauses.append([cnf.literal(axiom.ast)])
     cnf.clauses.append([-cnf.literal(conjecture.ast)])
     result = _dpll(cnf.clauses, {}, budget)
-    wall = time.monotonic() - start
     if result is None:
-        return ProofAttempt(
-            "", PROVER_ID, ProofStatus.TMO, wall,
-            output="timeout during search", timeout_seconds=timeout_seconds,
-        )
+        return Verdict(ProofStatus.TMO, "timeout during search")
     if result:
-        return ProofAttempt(
-            "", PROVER_ID, ProofStatus.CSA, wall,
-            output="axioms plus negated conjecture are satisfiable",
-            timeout_seconds=timeout_seconds,
-        )
-    return ProofAttempt(
-        "", PROVER_ID, ProofStatus.THM, wall,
-        output="axioms plus negated conjecture are unsatisfiable",
-        used_axioms=labels,
-        timeout_seconds=timeout_seconds,
+        return Verdict(ProofStatus.CSA, "axioms plus negated conjecture are satisfiable")
+    return Verdict(
+        ProofStatus.THM,
+        "axioms plus negated conjecture are unsatisfiable",
+        tuple(s.label for s in axioms if s.label is not None),
     )

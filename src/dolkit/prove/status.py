@@ -1,4 +1,5 @@
-"""SZS proof statuses, the CSAS refinement, and the attempt record."""
+"""SZS proof statuses, the CSAS refinement, a prover's verdict, and the
+attempt record."""
 
 from __future__ import annotations
 
@@ -26,17 +27,27 @@ def finalize_status(raw: ProofStatus, selection: Selection) -> ProofStatus:
     return raw
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """What a prover returns: its raw status, a one-line report, and for a
+    THM the labels of the axioms the proof used."""
+
+    status: ProofStatus
+    output: str
+    used_axioms: tuple[str, ...] | None = None
+
+
 @dataclass
 class ProofAttempt:
     obligation: str
     prover: str
     status: ProofStatus
     wall_time: float
-    output: str = ""
-    used_axioms: tuple[str, ...] | None = None
-    timeout_seconds: float | None = None
-    provided_axioms: tuple[str, ...] = ()
-    selection: Selection | None = None  # one shared object per configuration
+    output: str
+    used_axioms: tuple[str, ...] | None
+    timeout_seconds: float
+    provided_axioms: tuple[str, ...]
+    selection: Selection  # one shared object per configuration
 
 
 def attempt_to_dict(attempt: ProofAttempt) -> dict:
@@ -49,7 +60,7 @@ def attempt_to_dict(attempt: ProofAttempt) -> dict:
         "config": {
             "timeout": attempt.timeout_seconds,
             "provided_axioms": list(attempt.provided_axioms),
-            "strict_subset": attempt.selection.strict_subset if attempt.selection else False,
+            "strict_subset": attempt.selection.strict_subset,
         },
         "output": attempt.output,
     }

@@ -86,12 +86,12 @@ class Env:
         self._by_iri: dict[str, Theory] = {}
         self._iri_nodes: dict[str, str] = {}  # iri -> graph/diagram node id
         self._expr_nodes: dict[OntologyExpr, tuple[str, Theory]] = {}
-        self._node_ids: set[str] = set()
+        # definition names are node ids already; fresh ones must avoid them
+        self._node_ids: set[str] = set(document.definitions())
         # a definition that is exactly one IRI reference names that file's node
         for item in document.ontology_defs():
             if isinstance(item.expr, Ref) and item.expr.iri is not None:
                 self._iri_nodes.setdefault(item.expr.iri, item.name)
-                self._node_ids.add(item.name)
 
     def definition(self, name: str):
         item = self.document.definitions().get(name)

@@ -95,6 +95,19 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["error"]["type"] == "ParseError"
 
+    def test_deeply_nested_fragment_gives_error_json_and_exit_1(self, capsys, tmp_path):
+        deep = tmp_path / "deep.dol"
+        deep.write_text(
+            "logic TPTP\nontology X = { fof(a, axiom, " + "(" * 1200 + "p" + ")" * 1200 + "). }\n"
+        )
+        code, out, err = run(capsys, "analyze", str(deep))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "NestingTooDeep",
+            "message": "input nests deeper than the recursion limit",
+        }
+        assert "Traceback" not in err
+
     def test_empty_file_fails(self, capsys, tmp_path):
         empty = tmp_path / "empty.dol"
         empty.write_text("")
@@ -217,8 +230,9 @@ class TestProve:
         assert attempt["prover"] == "stub" and attempt["status"] == "THM"
 
     def test_unknown_prover_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "--repo", REPO, "prove", FAMILY, "--prover", "vampire")
+        code, _, err = run(capsys, "--repo", REPO, "prove", FAMILY, "--prover", "vampire")
         assert code == 64
+        assert "unknown prover 'vampire' (use internal-fol, internal-prop, or id=command)" in err
 
     def test_keep_temp_retains_tptp_files(self, capsys, tmp_path, monkeypatch):
         import stat

@@ -93,6 +93,50 @@ class TestGrammarErrors:
         with pytest.raises(ParseError):
             parse_document("%% nothing but a comment\n")
 
+    def test_alignment_named_twice_in_one_combine(self):
+        text = (
+            "logic FOL\n"
+            "alignment X : { fof(l, axiom, p). } to { fof(r, axiom, q). } = p = q end\n"
+            "ontology C = combine X, X\n"
+        )
+        with pytest.raises(DuplicateName, match="'X'"):
+            parse_document(text)
+
+
+class TestTokenPositions:
+    """Token positions and messages of the document scanner, which the error
+    contract and `Basic` diagnostics report."""
+
+    def test_basic_after_multi_line_text(self):
+        doc = parse_document("logic FOL\n%% note {\n\nontology A =\n   { fof(a, axiom, p). }\n")
+        basic = doc.ontology_defs()[0].expr
+        assert (basic.text, basic.line, basic.col) == (" fof(a, axiom, p). ", 5, 4)
+
+    def test_first_token_after_a_multi_line_fragment(self):
+        with pytest.raises(ParseError) as exc:
+            parse_document("logic FOL\nontology A = {\n  fof(a, axiom, p).\n}  then B")
+        assert (exc.value.line, exc.value.col) == (4, 4)
+        assert str(exc.value) == "4:4: a `then` extension must be a basic fragment in braces"
+
+    def test_nested_braces_are_kept_verbatim(self):
+        doc = parse_document("logic FOL\nontology A = { a {b {c}}\n d }\n")
+        basic = doc.ontology_defs()[0].expr
+        assert (basic.text, basic.line, basic.col) == (" a {b {c}}\n d ", 2, 14)
+
+    def test_unbalanced_brace(self):
+        with pytest.raises(ParseError) as exc:
+            parse_document("logic OWL\nontology X = { Class: {A }")
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            "2:14: unbalanced '{' in basic fragment", 2, 14,
+        )
+
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError) as exc:
+            parse_document("logic OWL\nontology X = {\n}\n  ! ")
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            "4:3: unexpected character '!'", 4, 3,
+        )
+
 
 class TestNormalization:
     def test_gt_swaps_to_lt(self):

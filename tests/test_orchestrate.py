@@ -7,6 +7,7 @@ import pytest
 from dolkit.kernel import Role, Sentence, Signature, Theory, symbols_of
 from dolkit.logics import parse_prop
 from dolkit.prove import (
+    BUILTIN_PROVERS,
     AttemptConfig,
     ManualAxioms,
     ProverKind,
@@ -161,6 +162,28 @@ class TestProveAll:
         attempts = prove_all([broken, fine], AttemptConfig(timeout_seconds=5))
         assert [a.status for a in attempts] == [ProofStatus.ERR, ProofStatus.THM]
         assert "UnsupportedFeature" in attempts[0].output
+
+    def test_too_deep_a_formula_becomes_err(self):
+        from dolkit.kernel import Kind, Symbol
+        from dolkit.logics.prop import PBin, PVar
+
+        # a 3,000-conjunct left-deep `and` overruns the recursion limit
+        names = [f"x{i}" for i in range(3000)]
+        deep = PVar("", names[0])
+        for name in names[1:]:
+            deep = PBin("and", deep, PVar("", name))
+        symbols = frozenset(Symbol("", n, Kind.PROP_VAR, 0) for n in names)
+        theory = Theory("bg", Signature("Prop", symbols), (Sentence("Prop", deep, "big", Role.AXIOM),))
+        ob = ProofObligation("goal", theory, Sentence("Prop", PVar("", "x0"), "goal", Role.CONJECTURE))
+        provers = tuple(BUILTIN_PROVERS.values())
+        attempts = prove_all([ob], AttemptConfig(provers=provers, timeout_seconds=5))
+        assert [(a.prover, a.status) for a in attempts] == [
+            ("internal-fol", ProofStatus.ERR),
+            ("internal-prop", ProofStatus.ERR),
+        ]
+        assert {a.output for a in attempts} == {
+            "NestingTooDeep: input nests deeper than the recursion limit"
+        }
 
 
 class TestMonotonicityEmpirically:

@@ -2,6 +2,7 @@
 SZS output."""
 
 import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -69,9 +70,10 @@ class TestSubprocessHandling:
         assert "spawn failure" in attempt.output
 
     def test_overrunning_process_is_killed(self, tmp_path):
+        start = time.monotonic()
         attempt = run(tmp_path, "sleep 30", timeout=1)
         assert attempt.status is ProofStatus.TMO
-        assert attempt.wall_time <= 1 + GRACE_SECONDS + 0.5
+        assert time.monotonic() - start <= 1 + GRACE_SECONDS + 0.5
 
     def test_problem_file_receives_the_tptp_text(self, tmp_path):
         attempt = run(tmp_path, 'cat "$1"; echo "SZS status Theorem"')

@@ -71,9 +71,10 @@ def test_hard_instance_times_out_within_grace():
         F("![X,Y,Z]: ((bigger(X,Y) & bigger(Y,Z)) => bigger(X,Z))", "trans"),
         F("bigger(b, a)", "seed"),
     ]
+    start = time.monotonic()
     attempt = prove_fol_internal(axioms, F("q(a)"), 1)
     assert attempt.status is ProofStatus.TMO
-    assert attempt.wall_time <= 1 + GRACE_SECONDS
+    assert time.monotonic() - start <= 1 + GRACE_SECONDS
 
 
 def test_used_axioms_exclude_untouched_facts():
@@ -102,9 +103,10 @@ def test_iff_chain_clausification_times_out_within_grace():
     text = "a0"
     for i in range(1, 6):
         text = f"({text} <=> a{i})"
+    start = time.monotonic()
     attempt = prove_fol_internal([], F(text), 1)
     assert attempt.status is ProofStatus.TMO
-    assert attempt.wall_time <= 1 + GRACE_SECONDS
+    assert time.monotonic() - start <= 1 + GRACE_SECONDS
 
 
 # -- search identity -------------------------------------------------------------

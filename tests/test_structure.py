@@ -496,6 +496,16 @@ class TestFreshNames:
         result = combine_details(["X"], Env(doc, RepoConfig()))
         assert [n for n, _ in result.diagram.nodes] == ["fragment", "fragment_2", "X"]
 
+    def test_inline_side_next_to_a_definition_of_its_display_name(self):
+        doc = parse_document(
+            "logic FOL\n"
+            "ontology fragment = { fof(l, axiom, p). }\n"
+            "alignment X : fragment to { fof(r, axiom, q). } = p = q end\n"
+        )
+        result = combine_details(["X"], Env(doc, RepoConfig()))
+        assert [n for n, _ in result.diagram.nodes] == ["fragment", "fragment_2", "X"]
+        assert sorted(s.name for s in result.theory.signature.symbols) == ["p__q"]
+
     def test_merged_labels(self):
         doc = parse_document(
             "logic FOL\n"
