@@ -1,12 +1,15 @@
 """Core logic framework: kinded symbols, signatures, morphisms, sentences, theories.
 
-Every concrete logic registers itself here and supplies the per-logic
-operations (symbol extraction, symbol renaming, printing) that the generic
-operations dispatch to. All values are immutable after construction.
+Every concrete logic registers itself here. It supplies its parser and
+printer, and one table, `name_nodes`, from each AST node type that names a
+symbol to that symbol's `Kind`. The kernel collects and renames the symbols
+of every logic's sentences with one generic walk over that table. All values
+are immutable after construction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -188,16 +191,18 @@ def fresh_name(base: str, is_taken: Callable[[str], bool]) -> str:
 
 
 class Logic:
-    """Interface each concrete logic implements and registers."""
+    """Interface each concrete logic implements and registers.
+
+    ASTs are frozen dataclasses whose fields are strings, AST nodes or tuples
+    of them. `name_nodes` maps each node type that names a symbol to its
+    kind; such a node has `origin` and `name` fields, and its arity is the
+    length of its `args` field (0 without one). `symbols_of` and
+    `translate_sentence` read this table, so a logic writes no walk of its own.
+    """
 
     id: str = ""
     admitted_kinds: frozenset[Kind] = frozenset()
-
-    def symbols_of_ast(self, ast: Any) -> frozenset[Symbol]:
-        raise NotImplementedError
-
-    def rename_ast(self, ast: Any, mapping: Mapping[Symbol, Symbol]) -> Any:
-        raise NotImplementedError
+    name_nodes: Mapping[type, Kind] = {}
 
     def print_sentence(self, ast: Any, prefixes: Mapping[str, str] | None = None) -> str:
         """Render one sentence in the logic's text syntax.
@@ -213,7 +218,6 @@ class Logic:
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
-        label_base: str | None = None,
     ) -> Theory:
         raise NotImplementedError
 
@@ -258,21 +262,92 @@ def compose(first: SignatureMorphism, second: SignatureMorphism) -> SignatureMor
     )
 
 
+_Layout = tuple[Kind | None, tuple[str, ...], bool]
+_LAYOUTS: dict[type, _Layout] = {}
+
+
+def _layout(kinds: Mapping[type, Kind], node_type: type) -> _Layout:
+    """How the walks treat a node type: the kind of symbol it names (None if
+    it names none), the fields they descend into (every field not annotated
+    `str`), and whether the symbol's arity is the length of its `args`. A node
+    type belongs to one logic, so the answer is cached by type."""
+    keys = tuple(f.name for f in dataclasses.fields(node_type) if f.type not in ("str", str))
+    layout = _LAYOUTS[node_type] = (kinds.get(node_type), keys, "args" in keys)
+    return layout
+
+
 def symbols_of(sentence: Sentence) -> frozenset[Symbol]:
-    return get_logic(sentence.logic_id).symbols_of_ast(sentence.ast)
+    """The symbols named in the sentence, found with an explicit stack so that
+    deep ASTs do not exhaust the recursion limit."""
+    kinds = get_logic(sentence.logic_id).name_nodes
+    out: set[Symbol] = set()
+    todo = [sentence.ast]
+    while todo:
+        node = todo.pop()
+        node_type = type(node)
+        if node_type is tuple:
+            todo.extend(node)
+            continue
+        kind, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
+        if kind is not None:
+            out.add(Symbol(node.origin, node.name, kind, len(node.args) if has_args else 0))
+        for key in keys:
+            todo.append(getattr(node, key))
+    return frozenset(out)
+
+
+class _Rebuild:
+    """Stack entry that reassembles a node once its children's images are built."""
+
+    __slots__ = ("make", "fields", "keys")
+
+    def __init__(self, make: type, fields: Any, keys: Any):
+        self.make, self.fields, self.keys = make, fields, keys
+
+    def build(self, done: list[Any]) -> Any:
+        for key in reversed(self.keys):
+            self.fields[key] = done.pop()
+        return tuple(self.fields) if self.make is tuple else self.make(**self.fields)
 
 
 def translate_sentence(m: SignatureMorphism, sentence: Sentence) -> Sentence:
+    """Rename the sentence's symbols along `m` in one pre-order pass over an
+    explicit stack. Each name node is looked up when the walk meets it, so a
+    symbol without an image is reported at its first occurrence."""
     if sentence.logic_id != m.source.logic_id:
         raise LogicMismatch(
             f"sentence in {sentence.logic_id} under a {m.source.logic_id} morphism"
         )
-    logic = get_logic(sentence.logic_id)
-    for sym in logic.symbols_of_ast(sentence.ast):
-        if sym not in m.mapping:
-            raise SymbolNotInSource(f"{sym!r} occurs in the sentence but not in the morphism")
-    ast = logic.rename_ast(sentence.ast, m.mapping)
-    return Sentence(sentence.logic_id, ast, sentence.label, sentence.role)
+    kinds = get_logic(sentence.logic_id).name_nodes
+    done: list[Any] = []
+    todo: list[Any] = [sentence.ast]
+    while todo:
+        node = todo.pop()
+        node_type = type(node)
+        if node_type is _Rebuild:
+            done.append(node.build(done))
+            continue
+        if node_type is tuple:
+            todo.append(_Rebuild(tuple, list(node), range(len(node))))
+            todo.extend(reversed(node))
+            continue
+        kind, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
+        if kind is None and not keys:
+            done.append(node)
+            continue
+        fields = dict(vars(node))
+        if kind is not None:
+            sym = Symbol(node.origin, node.name, kind, len(node.args) if has_args else 0)
+            image = m.mapping.get(sym)
+            if image is None:
+                raise SymbolNotInSource(f"{sym!r} occurs in the sentence but not in the morphism")
+            fields["origin"], fields["name"] = image.origin, image.name
+        if keys:
+            todo.append(_Rebuild(node_type, fields, keys))
+            todo.extend([fields[key] for key in reversed(keys)])
+        else:
+            done.append(node_type(**fields))
+    return Sentence(sentence.logic_id, done[0], sentence.label, sentence.role)
 
 
 def signature_union(a: Signature, b: Signature) -> Signature:

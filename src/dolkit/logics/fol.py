@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Union
 
 from ..errors import ParseError, UnknownConstruct
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, symbols_of
 from ._scan import TokenCursor, scan
 
 Term = Union["FVar", "FConst"]
@@ -78,12 +78,6 @@ class FQuant:
 def forall(variables: Iterable[str], body: FolAst) -> FolAst:
     for v in reversed(list(variables)):
         body = FQuant("forall", v, body)
-    return body
-
-
-def exists(variables: Iterable[str], body: FolAst) -> FolAst:
-    for v in reversed(list(variables)):
-        body = FQuant("exists", v, body)
     return body
 
 
@@ -354,14 +348,7 @@ def parse_fof_formula(text: str, origin: str = "", allow_equality: bool = False)
 class FolLogic(Logic):
     id = "FOL"
     admitted_kinds = frozenset({Kind.PREDICATE, Kind.INDIVIDUAL})
-
-    def symbols_of_ast(self, ast: Any) -> frozenset[Symbol]:
-        out: set[Symbol] = set()
-        _collect(ast, out)
-        return frozenset(out)
-
-    def rename_ast(self, ast: Any, mapping: Mapping[Symbol, Symbol]) -> Any:
-        return _rename(ast, mapping)
+    name_nodes = {FAtom: Kind.PREDICATE, FConst: Kind.INDIVIDUAL}
 
     def print_sentence(self, ast: Any, prefixes: Mapping[str, str] | None = None) -> str:
         return print_fol(ast, prefixes)
@@ -372,7 +359,6 @@ class FolLogic(Logic):
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
-        label_base: str | None = None,
     ) -> Theory:
         sentences: list[Sentence] = []
         labels: set[str] = set()
@@ -381,11 +367,7 @@ class FolLogic(Logic):
                 raise ParseError(f"duplicate formula name {fof_name!r}", 1, 1)
             labels.add(fof_name)
             sentences.append(Sentence(self.id, ast, fof_name, role))
-        symbols = (
-            frozenset().union(*(self.symbols_of_ast(s.ast) for s in sentences))
-            if sentences
-            else frozenset()
-        )
+        symbols = frozenset().union(*map(symbols_of, sentences))
         return Theory(name, Signature(self.id, symbols), tuple(sentences))
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
@@ -395,43 +377,3 @@ class FolLogic(Logic):
             lines.append(print_tptp(s, s.label or f"ax{i}", role, prefixes))
         return "".join(line + "\n" for line in lines)
 
-
-def _collect(ast: FolAst, out: set[Symbol]) -> None:
-    if isinstance(ast, FAtom):
-        out.add(Symbol(ast.origin, ast.name, Kind.PREDICATE, len(ast.args)))
-        for a in ast.args:
-            if isinstance(a, FConst):
-                out.add(Symbol(a.origin, a.name, Kind.INDIVIDUAL, 0))
-    elif isinstance(ast, FEq):
-        for a in (ast.left, ast.right):
-            if isinstance(a, FConst):
-                out.add(Symbol(a.origin, a.name, Kind.INDIVIDUAL, 0))
-    elif isinstance(ast, FNot):
-        _collect(ast.body, out)
-    elif isinstance(ast, FBin):
-        _collect(ast.left, out)
-        _collect(ast.right, out)
-    elif isinstance(ast, FQuant):
-        _collect(ast.body, out)
-
-
-def _rename_term(t: Term, mapping: Mapping[Symbol, Symbol]) -> Term:
-    if isinstance(t, FConst):
-        image = mapping[Symbol(t.origin, t.name, Kind.INDIVIDUAL, 0)]
-        return FConst(image.origin, image.name)
-    return t
-
-
-def _rename(ast: FolAst, mapping: Mapping[Symbol, Symbol]) -> FolAst:
-    if isinstance(ast, FAtom):
-        image = mapping[Symbol(ast.origin, ast.name, Kind.PREDICATE, len(ast.args))]
-        return FAtom(image.origin, image.name, tuple(_rename_term(a, mapping) for a in ast.args))
-    if isinstance(ast, FEq):
-        return FEq(_rename_term(ast.left, mapping), _rename_term(ast.right, mapping))
-    if isinstance(ast, FNot):
-        return FNot(_rename(ast.body, mapping))
-    if isinstance(ast, FBin):
-        return FBin(ast.op, _rename(ast.left, mapping), _rename(ast.right, mapping))
-    if isinstance(ast, FQuant):
-        return FQuant(ast.quant, ast.var, _rename(ast.body, mapping))
-    return ast

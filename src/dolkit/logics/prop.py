@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from ..errors import UndeclaredPrefix
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, symbols_of
 from ._scan import Tok, TokenCursor, scan
 
 PropAst = Union["PTrue", "PFalse", "PVar", "PNot", "PBin"]
@@ -177,14 +177,7 @@ def _print(ast: PropAst, parent_level: int, rev: dict[str, str]) -> str:
 class PropLogic(Logic):
     id = "Prop"
     admitted_kinds = frozenset({Kind.PROP_VAR})
-
-    def symbols_of_ast(self, ast: Any) -> frozenset[Symbol]:
-        out: set[Symbol] = set()
-        _collect(ast, out)
-        return frozenset(out)
-
-    def rename_ast(self, ast: Any, mapping: Mapping[Symbol, Symbol]) -> Any:
-        return _rename(ast, mapping)
+    name_nodes = {PVar: Kind.PROP_VAR}
 
     def print_sentence(self, ast: Any, prefixes: Mapping[str, str] | None = None) -> str:
         return print_prop(ast, prefixes)
@@ -195,10 +188,8 @@ class PropLogic(Logic):
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
-        label_base: str | None = None,
     ) -> Theory:
         """One sentence per non-empty line; `%%` starts a comment."""
-        base = label_base or name
         sentences: list[Sentence] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("%%", 1)[0]
@@ -206,30 +197,10 @@ class PropLogic(Logic):
                 continue
             indent = len(line) - len(line.lstrip())
             ast = parse_prop(line.strip(), origin, prefixes, start_line=lineno, start_col=indent + 1)
-            sentences.append(Sentence(self.id, ast, f"{base}_{len(sentences) + 1}", Role.AXIOM))
-        symbols = frozenset().union(*(self.symbols_of_ast(s.ast) for s in sentences)) if sentences else frozenset()
+            sentences.append(Sentence(self.id, ast, f"{name}_{len(sentences) + 1}", Role.AXIOM))
+        symbols = frozenset().union(*map(symbols_of, sentences))
         return Theory(name, Signature(self.id, symbols), tuple(sentences))
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
         return "".join(print_prop(s.ast, prefixes) + "\n" for s in t.sentences)
 
-
-def _collect(ast: PropAst, out: set[Symbol]) -> None:
-    if isinstance(ast, PVar):
-        out.add(Symbol(ast.origin, ast.name, Kind.PROP_VAR, 0))
-    elif isinstance(ast, PNot):
-        _collect(ast.body, out)
-    elif isinstance(ast, PBin):
-        _collect(ast.left, out)
-        _collect(ast.right, out)
-
-
-def _rename(ast: PropAst, mapping: Mapping[Symbol, Symbol]) -> PropAst:
-    if isinstance(ast, PVar):
-        image = mapping[Symbol(ast.origin, ast.name, Kind.PROP_VAR, 0)]
-        return PVar(image.origin, image.name)
-    if isinstance(ast, PNot):
-        return PNot(_rename(ast.body, mapping))
-    if isinstance(ast, PBin):
-        return PBin(ast.op, _rename(ast.left, mapping), _rename(ast.right, mapping))
-    return ast

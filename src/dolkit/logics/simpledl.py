@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from ..errors import DolkitError, UndeclaredPrefix, UnknownConstruct
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, symbols_of
 from ._scan import Tok, TokenCursor, scan
 
 ClassExpr = Union["ClsName", "ClsNot", "ClsAnd", "ClsOr", "ClsSome", "ClsOnly"]
@@ -436,111 +436,12 @@ def print_dl_sentence(ast: DlAst, prefixes: Mapping[str, str] | None = None) -> 
     raise TypeError(f"not a DL sentence: {ast!r}")
 
 
-# -- symbol extraction and renaming -------------------------------------------------
-
-
-def _expr_symbols(ast: ClassExpr, out: set[Symbol]) -> None:
-    if isinstance(ast, ClsName):
-        out.add(Symbol(ast.origin, ast.name, Kind.CLASS, 0))
-    elif isinstance(ast, ClsNot):
-        _expr_symbols(ast.body, out)
-    elif isinstance(ast, (ClsAnd, ClsOr)):
-        _expr_symbols(ast.left, out)
-        _expr_symbols(ast.right, out)
-    elif isinstance(ast, (ClsSome, ClsOnly)):
-        out.add(Symbol(ast.prop.origin, ast.prop.name, Kind.OBJECT_PROPERTY, 0))
-        _expr_symbols(ast.filler, out)
-
-
-def dl_symbols(ast: DlAst) -> frozenset[Symbol]:
-    out: set[Symbol] = set()
-    if isinstance(ast, (SubClassOf, EquivalentClasses, DisjointClasses)):
-        pair = (ast.sub, ast.sup) if isinstance(ast, SubClassOf) else (ast.left, ast.right)
-        for e in pair:
-            _expr_symbols(e, out)
-    elif isinstance(ast, ClassAssertion):
-        _expr_symbols(ast.cls, out)
-        out.add(Symbol(ast.individual.origin, ast.individual.name, Kind.INDIVIDUAL, 0))
-    elif isinstance(ast, PropertyAssertion):
-        out.add(Symbol(ast.prop.origin, ast.prop.name, Kind.OBJECT_PROPERTY, 0))
-        out.add(Symbol(ast.subject.origin, ast.subject.name, Kind.INDIVIDUAL, 0))
-        out.add(Symbol(ast.obj.origin, ast.obj.name, Kind.INDIVIDUAL, 0))
-    elif isinstance(ast, (SubPropertyOf, InverseProperties)):
-        pair = (ast.sub, ast.sup) if isinstance(ast, SubPropertyOf) else (ast.left, ast.right)
-        for p in pair:
-            out.add(Symbol(p.origin, p.name, Kind.OBJECT_PROPERTY, 0))
-    elif isinstance(ast, TransitiveProperty):
-        out.add(Symbol(ast.prop.origin, ast.prop.name, Kind.OBJECT_PROPERTY, 0))
-    else:
-        raise TypeError(f"not a DL sentence: {ast!r}")
-    return frozenset(out)
-
-
-def _map_name(node, kind: Kind, mapping: Mapping[Symbol, Symbol], ctor):
-    image = mapping[Symbol(node.origin, node.name, kind, 0)]
-    return ctor(image.origin, image.name)
-
-
-def _rename_expr(ast: ClassExpr, mapping: Mapping[Symbol, Symbol]) -> ClassExpr:
-    if isinstance(ast, ClsName):
-        return _map_name(ast, Kind.CLASS, mapping, ClsName)
-    if isinstance(ast, ClsNot):
-        return ClsNot(_rename_expr(ast.body, mapping))
-    if isinstance(ast, ClsAnd):
-        return ClsAnd(_rename_expr(ast.left, mapping), _rename_expr(ast.right, mapping))
-    if isinstance(ast, ClsOr):
-        return ClsOr(_rename_expr(ast.left, mapping), _rename_expr(ast.right, mapping))
-    if isinstance(ast, (ClsSome, ClsOnly)):
-        prop = _map_name(ast.prop, Kind.OBJECT_PROPERTY, mapping, PropName)
-        filler = _rename_expr(ast.filler, mapping)
-        return ClsSome(prop, filler) if isinstance(ast, ClsSome) else ClsOnly(prop, filler)
-    raise TypeError(f"not a class expression: {ast!r}")
-
-
-def rename_dl(ast: DlAst, mapping: Mapping[Symbol, Symbol]) -> DlAst:
-    if isinstance(ast, SubClassOf):
-        return SubClassOf(_rename_expr(ast.sub, mapping), _rename_expr(ast.sup, mapping))
-    if isinstance(ast, EquivalentClasses):
-        return EquivalentClasses(_rename_expr(ast.left, mapping), _rename_expr(ast.right, mapping))
-    if isinstance(ast, DisjointClasses):
-        return DisjointClasses(_rename_expr(ast.left, mapping), _rename_expr(ast.right, mapping))
-    if isinstance(ast, ClassAssertion):
-        return ClassAssertion(
-            _rename_expr(ast.cls, mapping),
-            _map_name(ast.individual, Kind.INDIVIDUAL, mapping, IndName),
-        )
-    if isinstance(ast, PropertyAssertion):
-        return PropertyAssertion(
-            _map_name(ast.prop, Kind.OBJECT_PROPERTY, mapping, PropName),
-            _map_name(ast.subject, Kind.INDIVIDUAL, mapping, IndName),
-            _map_name(ast.obj, Kind.INDIVIDUAL, mapping, IndName),
-        )
-    if isinstance(ast, SubPropertyOf):
-        return SubPropertyOf(
-            _map_name(ast.sub, Kind.OBJECT_PROPERTY, mapping, PropName),
-            _map_name(ast.sup, Kind.OBJECT_PROPERTY, mapping, PropName),
-        )
-    if isinstance(ast, InverseProperties):
-        return InverseProperties(
-            _map_name(ast.left, Kind.OBJECT_PROPERTY, mapping, PropName),
-            _map_name(ast.right, Kind.OBJECT_PROPERTY, mapping, PropName),
-        )
-    if isinstance(ast, TransitiveProperty):
-        return TransitiveProperty(_map_name(ast.prop, Kind.OBJECT_PROPERTY, mapping, PropName))
-    raise TypeError(f"not a DL sentence: {ast!r}")
-
-
 class SimpleDlLogic(Logic):
     id = "SimpleDL"
     admitted_kinds = frozenset(
         {Kind.CLASS, Kind.INDIVIDUAL, Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY}
     )
-
-    def symbols_of_ast(self, ast: Any) -> frozenset[Symbol]:
-        return dl_symbols(ast)
-
-    def rename_ast(self, ast: Any, mapping: Mapping[Symbol, Symbol]) -> Any:
-        return rename_dl(ast, mapping)
+    name_nodes = {ClsName: Kind.CLASS, PropName: Kind.OBJECT_PROPERTY, IndName: Kind.INDIVIDUAL}
 
     def print_sentence(self, ast: Any, prefixes: Mapping[str, str] | None = None) -> str:
         return print_dl_sentence(ast, prefixes)
@@ -551,27 +452,17 @@ class SimpleDlLogic(Logic):
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
-        label_base: str | None = None,
     ) -> Theory:
         asts, declared = parse_dl_frames(text, origin, prefixes)
-        base = label_base or name
         sentences = tuple(
-            Sentence(self.id, ast, f"{base}_{i}", Role.AXIOM) for i, ast in enumerate(asts, 1)
+            Sentence(self.id, ast, f"{name}_{i}", Role.AXIOM) for i, ast in enumerate(asts, 1)
         )
-        used = (
-            frozenset().union(*(dl_symbols(s.ast) for s in sentences))
-            if sentences
-            else frozenset()
-        )
+        used = frozenset().union(*map(symbols_of, sentences))
         return Theory(name, Signature(self.id, declared | used), sentences)
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
         rev = {iri: pfx for pfx, iri in (prefixes or {}).items()}
-        used = (
-            frozenset().union(*(dl_symbols(s.ast) for s in t.sentences))
-            if t.sentences
-            else frozenset()
-        )
+        used = frozenset().union(*map(symbols_of, t.sentences))
         frame_word = {
             Kind.CLASS: "Class",
             Kind.INDIVIDUAL: "Individual",

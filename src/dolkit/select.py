@@ -11,6 +11,7 @@ depth (0 = run to fixpoint). Symbol-free axioms are always selected.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,11 +50,11 @@ def full_selection(t: Theory) -> Selection:
 
 def occurrences(t: Theory) -> dict[Symbol, int]:
     """occ(s) = number of axiom sentences of t in which s occurs at least once."""
-    counts: dict[Symbol, int] = {}
-    for axiom in t.axioms:
-        for sym in symbols_of(axiom):
-            counts[sym] = counts.get(sym, 0) + 1
-    return counts
+    return _count([symbols_of(a) for a in t.axioms])
+
+
+def _count(axiom_symbols: list[frozenset[Symbol]]) -> dict[Symbol, int]:
+    return dict(Counter(sym for syms in axiom_symbols for sym in syms))
 
 
 def sine_select_from_symbols(
@@ -62,35 +63,35 @@ def sine_select_from_symbols(
     """SInE closure seeded with an arbitrary symbol set (the union of the
     selected conjectures' symbols when one configuration covers several)."""
     axioms = t.axioms
-    occ = occurrences(t)
     axiom_symbols = [symbols_of(a) for a in axioms]
+    occ = _count(axiom_symbols)
     tolerance = Fraction(p.tolerance).limit_denominator(10**6)
 
-    def triggers(sym: Symbol, idx: int) -> bool:
-        syms = axiom_symbols[idx]
-        if sym not in syms:
-            return False
-        if occ[sym] <= p.generality_threshold:
-            return True
-        least = min(occ[s] for s in syms)
-        return occ[sym] <= tolerance * least
+    # The trigger relation is fixed, so it is built once: symbol -> the
+    # axioms it triggers. An axiom a symbol triggers is chosen in the round
+    # after the symbol becomes known, so each round needs only the symbols
+    # the previous round added.
+    triggered: dict[Symbol, list[int]] = {}
+    for i, syms in enumerate(axiom_symbols):
+        bound = tolerance * min((occ[s] for s in syms), default=0)
+        for sym in syms:
+            if occ[sym] <= p.generality_threshold or occ[sym] <= bound:
+                triggered.setdefault(sym, []).append(i)
 
     chosen_idx: set[int] = {i for i, syms in enumerate(axiom_symbols) if not syms}
     known: set[Symbol] = set(seed)
+    frontier: set[Symbol] = set(seed)
     rounds = 0
     while True:
         rounds += 1
-        newly: set[int] = set()
-        for i in range(len(axioms)):
-            if i in chosen_idx:
-                continue
-            if any(triggers(sym, i) for sym in known):
-                newly.add(i)
+        newly = {
+            i for sym in frontier for i in triggered.get(sym, ()) if i not in chosen_idx
+        }
         if not newly:
             break
         chosen_idx |= newly
-        for i in newly:
-            known |= axiom_symbols[i]
+        frontier = set().union(*(axiom_symbols[i] for i in newly)) - known
+        known |= frontier
         if p.depth and rounds >= p.depth:
             break
     chosen = tuple(a for i, a in enumerate(axioms) if i in chosen_idx)

@@ -119,9 +119,7 @@ class Env:
             text, logic_id, origin = resolve_reference(iri, self.repo)
             name = self.node_id_for_iri(iri)
             logic = get_logic(logic_id)
-            cached = logic.parse_theory(
-                text, name, origin=origin, prefixes=self.prefixes, label_base=name
-            )
+            cached = logic.parse_theory(text, name, origin=origin, prefixes=self.prefixes)
             self._by_iri[iri] = cached
         return cached
 
@@ -210,11 +208,7 @@ def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
     if isinstance(expr, Basic):
         logic = get_logic(expr.logic_id)
         return logic.parse_theory(
-            expr.text,
-            name or "fragment",
-            origin=env.origin,
-            prefixes=env.prefixes,
-            label_base=name or "fragment",
+            expr.text, name or "fragment", origin=env.origin, prefixes=env.prefixes
         )
     if isinstance(expr, And):
         parts = [flatten(op, env) for op in expr.operands]

@@ -1,5 +1,6 @@
 """Kernel: symbols, signatures, morphisms, theories, and the category laws."""
 
+import dataclasses
 import random
 
 import pytest
@@ -20,9 +21,20 @@ from dolkit.kernel import (
     translate_sentence,
     validate_theory,
 )
-from dolkit.logics import parse_dl_frames, parse_fof_formula, parse_prop
+from dolkit.logics import (
+    FOL,
+    PROP,
+    SIMPLE_DL,
+    fol,
+    parse_dl_frames,
+    parse_fof_formula,
+    parse_prop,
+    prop,
+    simpledl,
+)
 from dolkit.logics.simpledl import ClsName, SubClassOf
-from dolkit.structure import Env
+from dolkit.mappings import get_mapping, translate_theory
+from dolkit.structure import Env, flatten_definition
 
 
 def psym(name: str) -> Symbol:
@@ -112,11 +124,46 @@ class TestTranslateSentence:
         assert translate_sentence(m, s).ast == parse_prop("r and r")
 
     def test_symbol_without_image(self):
-        s = Sentence("Prop", parse_prop("p and q"))
-        sig = psig("p")
-        m = identity(sig)
-        with pytest.raises(SymbolNotInSource):
-            translate_sentence(m, s)
+        fol_ast = parse_fof_formula("![X]: (p(X) => q(X, c))")
+        [dl_ast] = parse_dl_frames("Individual: i Types: r some C")[0]
+        cases = [
+            ("Prop", parse_prop("p and q"), psym("q")),
+            ("FOL", fol_ast, Symbol("", "q", Kind.PREDICATE, 2)),
+            ("FOL", fol_ast, Symbol("", "c", Kind.INDIVIDUAL)),
+            ("SimpleDL", dl_ast, Symbol("", "C", Kind.CLASS)),
+            ("SimpleDL", dl_ast, Symbol("", "r", Kind.OBJECT_PROPERTY)),
+            ("SimpleDL", dl_ast, Symbol("", "i", Kind.INDIVIDUAL)),
+        ]
+        for logic_id, ast, missing in cases:
+            s = Sentence(logic_id, ast)
+            assert missing in symbols_of(s)
+            m = identity(Signature(logic_id, symbols_of(s) - {missing}))
+            with pytest.raises(SymbolNotInSource) as raised:
+                translate_sentence(m, s)
+            assert str(raised.value) == (
+                f"{missing!r} occurs in the sentence but not in the morphism"
+            )
+
+    def test_first_missing_symbol_in_ast_order_is_named(self):
+        s = Sentence("Prop", parse_prop("b and (a or c)"))
+        with pytest.raises(SymbolNotInSource, match="^b:PropVar "):
+            translate_sentence(identity(psig("c")), s)
+
+
+def test_name_node_tables_list_exactly_the_name_nodes():
+    """A node type with `origin` and `name` fields names a symbol; one left
+    out of its logic's table would be skipped by symbol collection and
+    renaming alike."""
+    for module, logic in ((fol, FOL), (prop, PROP), (simpledl, SIMPLE_DL)):
+        named = {
+            cls
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and cls.__module__ == module.__name__
+            and dataclasses.is_dataclass(cls)
+            and {"origin", "name"} <= {f.name for f in dataclasses.fields(cls)}
+        }
+        assert named and set(logic.name_nodes) == named, module.__name__
 
 
 class TestSymbolsOf:
@@ -201,6 +248,27 @@ class TestCategoryLaws:
             assert symbols_of(translated) == frozenset(
                 m.apply(x) for x in symbols_of(s)
             )
+
+    def test_translation_commutes_on_fixture_sentences(self, family_env, alignments_env):
+        """Under an injective renaming the image's symbols are the symbols'
+        images, and renaming back gives the original sentence."""
+        theories = []
+        for env in (family_env, alignments_env):
+            for item in env.document.ontology_defs():
+                t = flatten_definition(item, env)
+                theories += [t, translate_theory(get_mapping("dl2fol"), t)[0]]
+        assert {t.logic_id for t in theories} == {"SimpleDL", "FOL"}
+        for t in theories:
+            there = {
+                s: Symbol(s.origin, s.name + "_r", s.kind, s.arity) for s in t.signature.symbols
+            }
+            target = Signature(t.logic_id, frozenset(there.values()))
+            m = SignatureMorphism(t.signature, target, there)
+            back = SignatureMorphism(target, t.signature, {v: k for k, v in there.items()})
+            for s in t.sentences:
+                translated = translate_sentence(m, s)
+                assert symbols_of(translated) == frozenset(m.apply(x) for x in symbols_of(s))
+                assert translate_sentence(back, translated) == s
 
 
 class TestTheoryValidation:

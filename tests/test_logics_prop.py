@@ -79,3 +79,10 @@ def test_theory_parsing_lines_and_comments():
     t = PropLogic().parse_theory(text, "doc")
     assert [s.label for s in t.sentences] == ["doc_1", "doc_2"]
     assert len(t.signature.symbols) == 3
+
+
+def test_theory_of_a_very_long_conjunction():
+    # 3,000 conjuncts nest 3,000 deep: symbol collection must not recurse
+    t = PropLogic().parse_theory(" and ".join(f"x{i}" for i in range(3000)), "doc")
+    assert len(t.sentences) == 1
+    assert len(t.signature.symbols) == 3000

@@ -192,3 +192,11 @@ def test_theory_printing_includes_declarations():
     reparsed = logic.parse_theory(text, "t")
     assert reparsed.signature == t.signature
     assert [s.ast for s in reparsed.sentences] == [s.ast for s in t.sentences]
+
+
+def test_theory_of_a_very_long_intersection():
+    # 3,000 conjuncts nest 3,000 deep: symbol collection must not recurse
+    text = "Class: A SubClassOf: " + " and ".join(f"C{i}" for i in range(3000))
+    t = SimpleDlLogic().parse_theory(text, "t")
+    assert len(t.sentences) == 1
+    assert len(t.signature.symbols) == 3001

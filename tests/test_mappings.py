@@ -280,9 +280,7 @@ class TestProp2FolFaithfulness:
 class TestTranslateTheoryLabels:
     def test_source_labels_colliding_with_neq_facts(self):
         logic = SimpleDlLogic()
-        source = logic.parse_theory(
-            "Individual: a Types: C\nIndividual: b Types: C\n", "t", label_base="x"
-        )
+        source = logic.parse_theory("Individual: a Types: C\nIndividual: b Types: C\n", "t")
         labels = ["neq_1", "neq_1_2"]
         source = Theory(
             "t",

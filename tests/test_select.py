@@ -8,6 +8,18 @@ import pytest
 from dolkit.errors import UnknownAxiomName
 from dolkit.kernel import Kind, Role, Sentence, Signature, Symbol, Theory, symbols_of
 from dolkit.logics import parse_prop
+from dolkit.logics.simpledl import (
+    ClassAssertion,
+    ClsAnd,
+    ClsName,
+    ClsNot,
+    ClsSome,
+    IndName,
+    PropertyAssertion,
+    PropName,
+    SubClassOf,
+    TransitiveProperty,
+)
 from dolkit.select import SineParams, manual_select, occurrences, sine_select
 
 
@@ -129,21 +141,57 @@ def random_theory(rng: random.Random) -> Theory:
     return prop_theory(*texts, conjecture=conjecture)
 
 
+def random_dl_theory(rng: random.Random) -> Theory:
+    """Classes, properties and individuals, so that symbols of every DL kind
+    trigger axioms."""
+    classes = [ClsName("", f"C{i}") for i in range(rng.randint(2, 6))]
+    props = [PropName("", f"p{i}") for i in range(rng.randint(1, 3))]
+    inds = [IndName("", f"i{i}") for i in range(rng.randint(1, 4))]
+
+    def expr(depth: int):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return rng.choice(classes)
+        if roll < 0.6:
+            return ClsSome(rng.choice(props), expr(depth - 1))
+        if roll < 0.7:
+            return ClsNot(expr(depth - 1))
+        return ClsAnd(expr(depth - 1), expr(depth - 1))
+
+    def sentence():
+        roll = rng.random()
+        if roll < 0.5:
+            return SubClassOf(rng.choice(classes), expr(2))
+        if roll < 0.7:
+            return ClassAssertion(expr(1), rng.choice(inds))
+        if roll < 0.9:
+            return PropertyAssertion(rng.choice(props), rng.choice(inds), rng.choice(inds))
+        return TransitiveProperty(rng.choice(props))
+
+    sentences = [
+        Sentence("SimpleDL", sentence(), f"ax{i + 1}") for i in range(rng.randint(1, 20))
+    ]
+    sentences.append(Sentence("SimpleDL", sentence(), "goal", Role.CONJECTURE))
+    symbols = frozenset().union(*map(symbols_of, sentences))
+    return Theory("t", Signature("SimpleDL", symbols), tuple(sentences))
+
+
 class TestSineOracle:
     def test_matches_brute_force_on_generated_theories(self):
-        rng = random.Random(101)
-        for _ in range(100):
-            t = random_theory(rng)
-            conjecture = t.conjectures[0]
-            params = SineParams(
-                tolerance=rng.choice([1.0, 1.5, 2.0, 4.0]),
-                depth=rng.choice([0, 1, 2, 3]),
-                generality_threshold=rng.choice([0, 1, 2]),
-            )
-            sel = sine_select(t, conjecture, params)
-            expected = brute_force_sine(t, symbols_of(conjecture), params)
-            assert sel.chosen == expected
-            assert sel.strict_subset == (len(sel.chosen) < len(t.axioms))
+        for make_theory, seed in ((random_theory, 101), (random_dl_theory, 103)):
+            rng = random.Random(seed)
+            for _ in range(100):
+                t = make_theory(rng)
+                conjecture = t.conjectures[0]
+                params = SineParams(
+                    tolerance=rng.choice([1.0, 1.5, 2.0, 4.0]),
+                    depth=rng.choice([0, 1, 2, 3]),
+                    generality_threshold=rng.choice([0, 1, 2]),
+                )
+                sel = sine_select(t, conjecture, params)
+                expected = brute_force_sine(t, symbols_of(conjecture), params)
+                assert sel.chosen == expected
+                assert sel.strict_subset == (len(sel.chosen) < len(t.axioms))
 
     def test_parameter_monotonicity(self):
         rng = random.Random(202)
