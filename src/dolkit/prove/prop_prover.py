@@ -1,23 +1,19 @@
-"""Complete propositional decision procedure: Tseitin encoding plus DPLL
-with unit propagation. Validity of axioms -> conjecture is decided through
-satisfiability of axioms AND NOT conjecture."""
+"""Complete propositional decision procedure: Tseitin encoding plus an
+iterative CDCL search (conflict-driven clause learning with two watched
+literals, 1-UIP learning, non-chronological backjumping and activity-ordered
+decisions, as in MiniSat: Eén & Sörensson, "An Extensible SAT-solver", SAT
+2003). Validity of axioms -> conjecture is decided through satisfiability of
+axioms AND NOT conjecture."""
 
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from ..kernel import Sentence
 from ..logics import prop
 from .status import ProofStatus, Verdict
-
-
-class _Budget:
-    def __init__(self, seconds: float):
-        self.deadline = time.monotonic() + seconds
-
-    def exceeded(self) -> bool:
-        return time.monotonic() > self.deadline
 
 
 class _Cnf:
@@ -41,6 +37,20 @@ class _Cnf:
             v = self.fresh()
             self.atom_vars[key] = v
         return v
+
+    def assert_clause(self, node) -> None:
+        """Assert `node` as one clause, one literal per disjunct of its
+        top-level `or` chain, so that a disjunct that is a literal needs no
+        gate variable."""
+        clause: list[int] = []
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, prop.PBin) and node.op == "or":
+                stack += (node.right, node.left)
+            else:
+                clause.append(self.literal(node))
+        self.clauses.append(clause)
 
     def literal(self, node) -> int:
         cached = self.node_lits.get(node)
@@ -70,69 +80,215 @@ class _Cnf:
         return lit
 
 
-def _unit_propagate(
-    clauses: list[list[int]], assignment: dict[int, bool]
-) -> tuple[bool, list[list[int]]]:
-    """Simplify under the assignment, propagating units to fixpoint.
-    Returns (conflict-free, remaining clauses)."""
-    changed = True
-    while changed:
-        changed = False
-        remaining: list[list[int]] = []
-        for clause in clauses:
-            satisfied = False
-            pending: list[int] = []
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    pending.append(lit)
-                elif value == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not pending:
-                return False, []
-            if len(pending) == 1:
-                lit = pending[0]
-                assignment[abs(lit)] = lit > 0
-                changed = True
-            else:
-                remaining.append(pending)
-        clauses = remaining
-    return True, clauses
+_ACTIVITY_DECAY = 0.95
+_ACTIVITY_LIMIT = 1e100
 
 
-def _dpll(clauses: list[list[int]], assignment: dict[int, bool], budget: _Budget) -> bool | None:
-    """True = satisfiable, False = unsatisfiable, None = out of time."""
-    if budget.exceeded():
+class _Cdcl:
+    """CDCL search over variables 1..n_vars. A literal is a nonzero int.
+    Tables per literal (`value`, `watches`) have 2 * n_vars + 1 entries and
+    are indexed by the literal itself, so -v lands past every positive v.
+    `watches[lit]` holds the clauses that watch `lit`; a clause watches its
+    first two literals, and a reason clause has its implied literal first."""
+
+    def __init__(self, n_vars: int, deadline: float) -> None:
+        self.deadline = deadline
+        self.value: list[bool | None] = [None] * (2 * n_vars + 1)
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n_vars + 1)]
+        self.level = [0] * (n_vars + 1)
+        self.reason: list[list[int] | None] = [None] * (n_vars + 1)
+        self.activity = [0.0] * (n_vars + 1)
+        self.phase = [False] * (n_vars + 1)  # saved polarity, tried first
+        self.seen = [False] * (n_vars + 1)
+        self.bump_size = 1.0
+        # (-activity, var): the most active variable first, ties to the lowest
+        # number. Entries go stale when a variable is bumped or assigned and are
+        # skipped on pop; every unassigned variable has a current entry.
+        self.order = [(-0.0, v) for v in range(1, n_vars + 1)]
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []  # trail length at each decision
+        self.qhead = 0
+
+    def enqueue(self, lit: int, reason: list[int] | None) -> None:
+        self.value[lit] = True
+        self.value[-lit] = False
+        v = abs(lit)
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
+        self.trail.append(lit)
+
+    def watch(self, clause: list[int]) -> None:
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
+
+    def propagate(self) -> list[int] | None:
+        """Unit propagation over the watches; returns a conflicting clause."""
+        value, watches, trail = self.value, self.watches, self.trail
+        level, reason, depth = self.level, self.reason, len(self.trail_lim)
+        while self.qhead < len(trail):
+            false_lit = -trail[self.qhead]
+            self.qhead += 1
+            watching = watches[false_lit]
+            watches[false_lit] = kept = []
+            for i, clause in enumerate(watching):
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                first = clause[0]
+                if value[first] is True:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] is not False:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[first] is False:
+                        kept.extend(watching[i + 1:])
+                        self.qhead = len(trail)
+                        return clause
+                    # self.enqueue(first, clause), inlined in the hot loop
+                    value[first] = True
+                    value[-first] = False
+                    level[abs(first)] = depth
+                    reason[abs(first)] = clause
+                    trail.append(first)
         return None
-    ok, clauses = _unit_propagate(clauses, assignment)
-    if not ok:
-        return False
-    if not clauses:
-        return True
-    branch_var = min(abs(lit) for clause in clauses for lit in clause)
-    for value in (True, False):
-        trial = dict(assignment)
-        trial[branch_var] = value
-        result = _dpll(clauses, trial, budget)
-        if result is None or result:
-            return result
-    return False
+
+    def bump(self, v: int) -> None:
+        self.activity[v] += self.bump_size
+        if self.activity[v] > _ACTIVITY_LIMIT:
+            self.activity = [a / _ACTIVITY_LIMIT for a in self.activity]
+            self.bump_size /= _ACTIVITY_LIMIT
+            self.rebuild_order()
+
+    def rebuild_order(self) -> None:
+        value, activity = self.value, self.activity
+        self.order = [(-activity[v], v) for v in range(1, len(activity)) if value[v] is None]
+        heapify(self.order)
+
+    def analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause learnt from a conflict at the current level,
+        with its asserting literal first and a literal of the backjump level
+        second, and that level."""
+        seen, level, reason, trail = self.seen, self.level, self.reason, self.trail
+        depth = len(self.trail_lim)
+        learnt = [0]
+        pending = 0  # seen literals of the current level not yet resolved away
+        index = len(trail) - 1
+        clause, start = conflict, 0
+        while True:
+            for k in range(start, len(clause)):
+                lit = clause[k]
+                v = abs(lit)
+                if not seen[v] and level[v] > 0:
+                    seen[v] = True
+                    self.bump(v)
+                    if level[v] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(lit)
+            while not seen[abs(trail[index])]:
+                index -= 1
+            uip = trail[index]
+            index -= 1
+            seen[abs(uip)] = False
+            pending -= 1
+            if pending == 0:
+                break
+            clause, start = reason[abs(uip)], 1
+        learnt[0] = -uip
+        for lit in learnt[1:]:
+            seen[abs(lit)] = False
+        if len(learnt) == 1:
+            return learnt, 0
+        second = max(range(1, len(learnt)), key=lambda k: level[abs(learnt[k])])
+        learnt[1], learnt[second] = learnt[second], learnt[1]
+        return learnt, level[abs(learnt[1])]
+
+    def backjump(self, target: int) -> None:
+        if len(self.trail_lim) <= target:
+            return
+        value, reason, phase, activity, order = (
+            self.value, self.reason, self.phase, self.activity, self.order
+        )
+        start = self.trail_lim[target]
+        for lit in self.trail[start:]:
+            v = abs(lit)
+            value[lit] = value[-lit] = None
+            reason[v] = None
+            phase[v] = lit > 0
+            heappush(order, (-activity[v], v))
+        del self.trail[start:]
+        del self.trail_lim[target:]
+        self.qhead = start
+        if len(order) > 4 * len(activity):
+            self.rebuild_order()
+
+    def decide(self) -> int:
+        """The unassigned variable of highest activity, or 0 if none is left."""
+        order, value, activity = self.order, self.value, self.activity
+        while order:
+            negated, v = heappop(order)
+            if value[v] is None and -negated == activity[v]:
+                return v
+        return 0
+
+    def solve(self, clauses: list[list[int]]) -> bool | None:
+        """True = satisfiable, False = unsatisfiable, None = out of time."""
+        units = []
+        for clause in clauses:
+            distinct = dict.fromkeys(clause)
+            if any(-lit in distinct for lit in distinct):
+                continue
+            lits = list(distinct)
+            if len(lits) == 1:
+                units.append(lits[0])
+            else:
+                self.watch(lits)
+        for lit in units:
+            if self.value[lit] is False:
+                return False
+            if self.value[lit] is None:
+                self.enqueue(lit, None)
+        while True:
+            conflict = self.propagate()
+            if conflict is not None:
+                if not self.trail_lim:
+                    return False
+                if time.monotonic() > self.deadline:
+                    return None
+                learnt, target = self.analyze(conflict)
+                self.backjump(target)
+                if len(learnt) > 1:
+                    self.watch(learnt)
+                    self.enqueue(learnt[0], learnt)
+                else:
+                    self.enqueue(learnt[0], None)
+                self.bump_size /= _ACTIVITY_DECAY
+            else:
+                if time.monotonic() > self.deadline:
+                    return None
+                v = self.decide()
+                if not v:
+                    return True
+                self.trail_lim.append(len(self.trail))
+                self.enqueue(v if self.phase[v] else -v, None)
 
 
 def prove_prop(
     axioms: Sequence[Sentence], conjecture: Sentence, timeout_seconds: float
 ) -> Verdict:
-    budget = _Budget(timeout_seconds)
-    if budget.exceeded():
+    deadline = time.monotonic() + timeout_seconds
+    if time.monotonic() > deadline:
         return Verdict(ProofStatus.TMO, "timeout before search")
     cnf = _Cnf()
     for axiom in axioms:
-        cnf.clauses.append([cnf.literal(axiom.ast)])
+        cnf.assert_clause(axiom.ast)
     cnf.clauses.append([-cnf.literal(conjecture.ast)])
-    result = _dpll(cnf.clauses, {}, budget)
+    result = _Cdcl(cnf.next_var - 1, deadline).solve(cnf.clauses)
     if result is None:
         return Verdict(ProofStatus.TMO, "timeout during search")
     if result:

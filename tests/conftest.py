@@ -45,7 +45,7 @@ def alignments_env(alignments_doc, repo) -> Env:
 #
 # Each variable owns a column bitmask over 2^n assignment rows; formulas
 # evaluate to row bitmasks with plain integer bitwise operations. Independent
-# of the DPLL prover by construction.
+# of the CDCL prover by construction.
 
 
 def tt_variables(asts) -> list[tuple[str, str]]:
