@@ -276,24 +276,29 @@ def _layout(kinds: Mapping[type, Kind], node_type: type) -> _Layout:
     return layout
 
 
-def symbols_of(sentence: Sentence) -> frozenset[Symbol]:
-    """The symbols named in the sentence, found with an explicit stack so that
-    deep ASTs do not exhaust the recursion limit."""
-    kinds = get_logic(sentence.logic_id).name_nodes
-    out: set[Symbol] = set()
-    todo = [sentence.ast]
-    while todo:
-        node = todo.pop()
-        node_type = type(node)
-        if node_type is tuple:
-            todo.extend(node)
-            continue
-        kind, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
-        if kind is not None:
-            out.add(Symbol(node.origin, node.name, kind, len(node.args) if has_args else 0))
-        for key in keys:
-            todo.append(getattr(node, key))
-    return frozenset(out)
+def symbols_of(*sentences: Sentence) -> frozenset[Symbol]:
+    """The symbols named in the sentences, found in one walk over an explicit
+    stack so that deep ASTs do not exhaust the recursion limit. Each distinct
+    `(node type, origin, name, arity)` builds one `Symbol`, however often it occurs."""
+    found: dict[tuple[type, str, str, int], Symbol] = {}
+    for sentence in sentences:
+        kinds = get_logic(sentence.logic_id).name_nodes
+        todo = [sentence.ast]
+        while todo:
+            node = todo.pop()
+            node_type = type(node)
+            if node_type is tuple:
+                todo.extend(node)
+                continue
+            kind, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
+            if kind is not None:
+                arity = len(node.args) if has_args else 0
+                ident = (node_type, node.origin, node.name, arity)
+                if ident not in found:
+                    found[ident] = Symbol(node.origin, node.name, kind, arity)
+            for key in keys:
+                todo.append(getattr(node, key))
+    return frozenset(found.values())
 
 
 class _Rebuild:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..errors import ParseError
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
+    """A token: a plain tuple with named fields, cheap to build."""
+
     kind: str
     text: str
     line: int
@@ -33,29 +33,33 @@ def scan(
     `token_end` maps a kind whose regex only opens its token to a function
     `(text, start, line, col) -> end` that finds where the token ends, or
     raises ParseError at `line:col` when it cannot end.
+
+    The scanner keeps the offset at which the current line starts, so the
+    column of offset `pos` is `pos - line_start + 1`; only a piece that holds
+    a newline moves `line` and `line_start`.
     """
+    match, count = master.match, text.count
     toks: list[Tok] = []
-    line, col = start_line, start_col
-    pos = 0
-    while pos < len(text):
-        m = master.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    append = toks.append
+    line = start_line
+    line_start = 1 - start_col  # makes the first line's columns start at start_col
+    pos, size = 0, len(text)
+    while pos < size:
+        m = match(text, pos)
+        end = m.end() if m is not None else pos
+        if end == pos:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup or ""
-        end = m.end()
         if token_end is not None and kind in token_end:
-            end = token_end[kind](text, pos, line, col)
-        piece = text[pos:end]
+            end = token_end[kind](text, pos, line, pos - line_start + 1)
         if kind not in skip:
-            toks.append(Tok(kind, piece, line, col))
-        newlines = piece.count("\n")
+            append(Tok(kind, text[pos:end], line, pos - line_start + 1))
+        newlines = count("\n", pos, end)
         if newlines:
             line += newlines
-            col = len(piece) - piece.rfind("\n")
-        else:
-            col += len(piece)
+            line_start = text.rindex("\n", pos, end) + 1
         pos = end
-    toks.append(Tok("EOF", "", line, col))
+    append(Tok("EOF", "", line, pos - line_start + 1))
     return toks
 
 

@@ -367,8 +367,7 @@ class FolLogic(Logic):
                 raise ParseError(f"duplicate formula name {fof_name!r}", 1, 1)
             labels.add(fof_name)
             sentences.append(Sentence(self.id, ast, fof_name, role))
-        symbols = frozenset().union(*map(symbols_of, sentences))
-        return Theory(name, Signature(self.id, symbols), tuple(sentences))
+        return Theory(name, Signature(self.id, symbols_of(*sentences)), tuple(sentences))
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
         lines = []

@@ -8,6 +8,10 @@ impl and iff are right-associative, and/or left-associative):
 
 Atom names may be prefixed (`pfx:name`); the prefix must be declared in the
 supplied prefix map and expands to the atom's origin.
+
+The parser climbs precedence over `_LEVEL`, so nesting costs one or two
+frames per level rather than one per precedence rule. A theory shares one
+atom table, so each spelled name is resolved, and its `PVar` built, once.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
-from ..errors import UndeclaredPrefix
+from ..errors import ParseError, UndeclaredPrefix
 from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, symbols_of
-from ._scan import Tok, TokenCursor, scan
+from ._scan import Tok, scan
 
 PropAst = Union["PTrue", "PFalse", "PVar", "PNot", "PBin"]
 
@@ -62,84 +66,84 @@ _TOKENS = re.compile(
 )
 
 
-def _resolve_name(tok: Tok, origin: str, prefixes: Mapping[str, str] | None) -> PVar:
-    if ":" in tok.text:
-        pfx, local = tok.text.split(":", 1)
-        if prefixes is None or pfx not in prefixes:
-            raise UndeclaredPrefix(f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared")
-        return PVar(prefixes[pfx], local)
-    return PVar(origin, tok.text)
-
-
 def parse_prop(
     text: str,
     origin: str = "",
     prefixes: Mapping[str, str] | None = None,
     start_line: int = 1,
     start_col: int = 1,
+    atoms: dict[str, PVar] | None = None,
 ) -> PropAst:
-    """Parse a single propositional sentence."""
-    cur = TokenCursor(scan(text, _TOKENS, start_line=start_line, start_col=start_col))
-    ast = _parse_iff(cur, origin, prefixes)
-    if not cur.at("EOF"):
-        raise cur.error(f"trailing input {cur.cur.text!r}", "end of sentence")
+    """Parse a single propositional sentence. `atoms` caches the `PVar` of each
+    spelled name; share it only among sentences with equal `origin` and `prefixes`."""
+    toks = scan(text, _TOKENS, start_line=start_line, start_col=start_col)
+    p = _Parser(toks, origin, prefixes, {} if atoms is None else atoms)
+    ast = p.formula(1)
+    tok = toks[p.i]
+    if tok.kind != "EOF":
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of sentence",))
     return ast
 
 
-def _parse_iff(cur, origin, prefixes) -> PropAst:
-    left = _parse_impl(cur, origin, prefixes)
-    if cur.at("NAME", "iff"):
-        cur.advance()
-        return PBin("iff", left, _parse_iff(cur, origin, prefixes))
-    return left
+@dataclass
+class _Parser:
+    """Precedence climbing over one sentence's tokens, walked by index."""
 
+    toks: list[Tok]
+    origin: str
+    prefixes: Mapping[str, str] | None
+    atoms: dict[str, PVar]
+    i: int = 0
 
-def _parse_impl(cur, origin, prefixes) -> PropAst:
-    left = _parse_or(cur, origin, prefixes)
-    if cur.at("NAME", "impl"):
-        cur.advance()
-        return PBin("impl", left, _parse_impl(cur, origin, prefixes))
-    return left
+    def formula(self, min_level: int) -> PropAst:
+        """The longest formula whose binary operators bind at `min_level` or tighter."""
+        left = self.unary()
+        toks = self.toks
+        while True:
+            op = toks[self.i].text
+            level = _LEVEL.get(op, 0)  # only a NAME token can spell an operator
+            if level < min_level:
+                return left
+            self.i += 1
+            # impl/iff associate to the right, and/or to the left
+            left = PBin(op, left, self.formula(level if op in ("impl", "iff") else level + 1))
 
+    def unary(self) -> PropAst:
+        tok = self.toks[self.i]
+        text = tok.text
+        if tok.kind == "NAME":
+            self.i += 1
+            if text not in _KEYWORDS:
+                atom = self.atoms.get(text)
+                if atom is None:
+                    atom = self.atoms[text] = self.resolve(tok)
+                return atom
+            if text == "not":
+                return PNot(self.unary())
+            if text == "true":
+                return PTrue()
+            if text == "false":
+                return PFalse()
+            message = f"keyword {text!r} cannot start a formula"
+            raise ParseError(message, tok.line, tok.col, ("atom",))
+        if tok.kind == "LPAR":
+            self.i += 1
+            ast = self.formula(1)
+            tok = self.toks[self.i]
+            if tok.kind != "RPAR":
+                found = f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input"
+                raise ParseError(found, tok.line, tok.col, ("RPAR",))
+            self.i += 1
+            return ast
+        raise ParseError("expected a formula", tok.line, tok.col, ("atom", "not", "("))
 
-def _parse_or(cur, origin, prefixes) -> PropAst:
-    ast = _parse_and(cur, origin, prefixes)
-    while cur.at("NAME", "or"):
-        cur.advance()
-        ast = PBin("or", ast, _parse_and(cur, origin, prefixes))
-    return ast
-
-
-def _parse_and(cur, origin, prefixes) -> PropAst:
-    ast = _parse_unary(cur, origin, prefixes)
-    while cur.at("NAME", "and"):
-        cur.advance()
-        ast = PBin("and", ast, _parse_unary(cur, origin, prefixes))
-    return ast
-
-
-def _parse_unary(cur, origin, prefixes) -> PropAst:
-    if cur.at("NAME", "not"):
-        cur.advance()
-        return PNot(_parse_unary(cur, origin, prefixes))
-    if cur.at("NAME", "true"):
-        cur.advance()
-        return PTrue()
-    if cur.at("NAME", "false"):
-        cur.advance()
-        return PFalse()
-    if cur.at("LPAR"):
-        cur.advance()
-        ast = _parse_iff(cur, origin, prefixes)
-        cur.expect("RPAR")
-        return ast
-    if cur.at("NAME"):
-        tok = cur.cur
-        if tok.text in _KEYWORDS:
-            raise cur.error(f"keyword {tok.text!r} cannot start a formula", "atom")
-        cur.advance()
-        return _resolve_name(tok, origin, prefixes)
-    raise cur.error("expected a formula", "atom", "not", "(")
+    def resolve(self, tok: Tok) -> PVar:
+        if ":" not in tok.text:
+            return PVar(self.origin, tok.text)
+        pfx, local = tok.text.split(":", 1)
+        if self.prefixes is None or pfx not in self.prefixes:
+            raise UndeclaredPrefix(f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared")
+        return PVar(self.prefixes[pfx], local)
 
 
 _LEVEL = {"iff": 1, "impl": 2, "or": 3, "and": 4}
@@ -191,15 +195,16 @@ class PropLogic(Logic):
     ) -> Theory:
         """One sentence per non-empty line; `%%` starts a comment."""
         sentences: list[Sentence] = []
+        atoms: dict[str, PVar] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("%%", 1)[0]
-            if not line.strip():
+            stripped = line.strip()
+            if not stripped:
                 continue
             indent = len(line) - len(line.lstrip())
-            ast = parse_prop(line.strip(), origin, prefixes, start_line=lineno, start_col=indent + 1)
+            ast = parse_prop(stripped, origin, prefixes, lineno, indent + 1, atoms)
             sentences.append(Sentence(self.id, ast, f"{name}_{len(sentences) + 1}", Role.AXIOM))
-        symbols = frozenset().union(*map(symbols_of, sentences))
-        return Theory(name, Signature(self.id, symbols), tuple(sentences))
+        return Theory(name, Signature(self.id, symbols_of(*sentences)), tuple(sentences))
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
         return "".join(print_prop(s.ast, prefixes) + "\n" for s in t.sentences)

@@ -457,12 +457,12 @@ class SimpleDlLogic(Logic):
         sentences = tuple(
             Sentence(self.id, ast, f"{name}_{i}", Role.AXIOM) for i, ast in enumerate(asts, 1)
         )
-        used = frozenset().union(*map(symbols_of, sentences))
+        used = symbols_of(*sentences)
         return Theory(name, Signature(self.id, declared | used), sentences)
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
         rev = {iri: pfx for pfx, iri in (prefixes or {}).items()}
-        used = frozenset().union(*map(symbols_of, t.sentences))
+        used = symbols_of(*t.sentences)
         frame_word = {
             Kind.CLASS: "Class",
             Kind.INDIVIDUAL: "Individual",

@@ -73,8 +73,7 @@ def _selection_for(
     if isinstance(spec, Selection):
         return spec
     if isinstance(spec, SineParams):
-        seed = frozenset().union(*(symbols_of(c) for c in conjectures)) if conjectures else frozenset()
-        return sine_select_from_symbols(theory, seed, spec)
+        return sine_select_from_symbols(theory, symbols_of(*conjectures), spec)
     if isinstance(spec, ManualAxioms):
         return manual_select(theory, list(spec.names))
     raise TypeError(f"not a selection spec: {spec!r}")

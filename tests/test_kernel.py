@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dolkit.errors import InvalidTheory, KindClash, MismatchedEndpoints, SymbolNotInSource
 from dolkit.kernel import (
@@ -166,6 +167,41 @@ def test_name_node_tables_list_exactly_the_name_nodes():
         assert named and set(logic.name_nodes) == named, module.__name__
 
 
+# One name pool for every kind, so one spelling names symbols of several
+# kinds, origins and arities.
+_NAMES = st.sampled_from(["a", "b", "C"])
+_ORIGINS = st.sampled_from(["", "http://x/", "http://y/"])
+_PROP = st.recursive(
+    st.builds(prop.PVar, _ORIGINS, _NAMES) | st.just(prop.PTrue()),
+    lambda sub: st.builds(prop.PNot, sub)
+    | st.builds(prop.PBin, st.sampled_from(["and", "iff"]), sub, sub),
+    max_leaves=12,
+)
+_TERM = st.builds(fol.FConst, _ORIGINS, _NAMES) | st.builds(fol.FVar, st.just("X"))
+_FOL = st.recursive(
+    st.builds(fol.FAtom, _ORIGINS, _NAMES, st.lists(_TERM, max_size=3).map(tuple)),
+    lambda sub: st.builds(fol.FNot, sub)
+    | st.builds(fol.FBin, st.just("or"), sub, sub)
+    | st.builds(fol.FQuant, st.just("forall"), st.just("X"), sub),
+    max_leaves=8,
+)
+_CLS = st.recursive(
+    st.builds(simpledl.ClsName, _ORIGINS, _NAMES),
+    lambda sub: st.builds(simpledl.ClsAnd, sub, sub)
+    | st.builds(simpledl.ClsSome, st.builds(simpledl.PropName, _ORIGINS, _NAMES), sub),
+    max_leaves=6,
+)
+_DL = st.builds(simpledl.SubClassOf, _CLS, _CLS) | st.builds(
+    simpledl.ClassAssertion, _CLS, st.builds(simpledl.IndName, _ORIGINS, _NAMES)
+)
+_THEORIES = st.one_of(
+    *(
+        st.lists(asts.map(lambda ast, logic_id=logic_id: Sentence(logic_id, ast)), max_size=6)
+        for logic_id, asts in (("Prop", _PROP), ("FOL", _FOL), ("SimpleDL", _DL))
+    )
+)
+
+
 class TestSymbolsOf:
     def test_dl_assertion(self):
         asts, _ = parse_dl_frames("Individual: Chris Types: Father", origin="f1")
@@ -182,6 +218,12 @@ class TestSymbolsOf:
         assert symbols_of(Sentence("FOL", ast)) == frozenset(
             {Symbol("", "parent_of", Kind.PREDICATE, 2)}
         )
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(_THEORIES)
+    def test_one_walk_equals_the_union_of_walks(self, sentences):
+        assert symbols_of(*sentences) == frozenset().union(*map(symbols_of, sentences))
 
 
 class TestSignatureUnion:
