@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping
+from types import GeneratorType
+from typing import Any, Callable, Generator, Mapping
 
 from .errors import (
     InvalidTheory,
@@ -32,10 +33,15 @@ class Kind(Enum):
     FUNCTION = "Function"
     PROP_VAR = "PropVar"
 
+    # Enum's __hash__ hashes the name in Python; members compare by identity
+    __hash__ = object.__hash__
+
 
 class Role(Enum):
     AXIOM = "Axiom"
     CONJECTURE = "Conjecture"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -172,11 +178,24 @@ class Theory:
     def conjectures(self) -> tuple[Sentence, ...]:
         return tuple(s for s in self.sentences if s.role is Role.CONJECTURE)
 
-    def axiom_by_label(self, label: str) -> Sentence | None:
-        for s in self.sentences:
-            if s.label == label:
-                return s
-        return None
+
+Walk = Generator[Any, Any, Any]
+
+
+def run(walk: Walk) -> Any:
+    """The result of a recursive walk, computed on an explicit stack so that
+    no depth of input exhausts the recursion limit. The walk is a generator
+    that yields the generator of each recursive call where it would make the
+    call, `x = yield walk(child)`, and returns its result."""
+    stack, value = [walk], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 def fresh_name(base: str, is_taken: Callable[[str], bool]) -> str:
@@ -262,17 +281,19 @@ def compose(first: SignatureMorphism, second: SignatureMorphism) -> SignatureMor
     )
 
 
-_Layout = tuple[Kind | None, tuple[str, ...], bool]
+_Layout = tuple[Kind | None, tuple[str, ...], tuple[str, ...], bool]
 _LAYOUTS: dict[type, _Layout] = {}
 
 
 def _layout(kinds: Mapping[type, Kind], node_type: type) -> _Layout:
     """How the walks treat a node type: the kind of symbol it names (None if
-    it names none), the fields they descend into (every field not annotated
-    `str`), and whether the symbol's arity is the length of its `args`. A node
-    type belongs to one logic, so the answer is cached by type."""
-    keys = tuple(f.name for f in dataclasses.fields(node_type) if f.type not in ("str", str))
-    layout = _LAYOUTS[node_type] = (kinds.get(node_type), keys, "args" in keys)
+    it names none), its fields annotated `str`, the fields they descend into
+    (every other field), and whether the symbol's arity is the length of its
+    `args`. A node type belongs to one logic, so the answer is cached by type."""
+    fields = dataclasses.fields(node_type)
+    names = tuple(f.name for f in fields if f.type in ("str", str))
+    keys = tuple(f.name for f in fields if f.type not in ("str", str))
+    layout = _LAYOUTS[node_type] = (kinds.get(node_type), names, keys, "args" in keys)
     return layout
 
 
@@ -290,7 +311,7 @@ def symbols_of(*sentences: Sentence) -> frozenset[Symbol]:
             if node_type is tuple:
                 todo.extend(node)
                 continue
-            kind, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
+            kind, _, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
             if kind is not None:
                 arity = len(node.args) if has_args else 0
                 ident = (node_type, node.origin, node.name, arity)
@@ -301,58 +322,70 @@ def symbols_of(*sentences: Sentence) -> frozenset[Symbol]:
     return frozenset(found.values())
 
 
-class _Rebuild:
-    """Stack entry that reassembles a node once its children's images are built."""
-
-    __slots__ = ("make", "fields", "keys")
-
-    def __init__(self, make: type, fields: Any, keys: Any):
-        self.make, self.fields, self.keys = make, fields, keys
-
-    def build(self, done: list[Any]) -> Any:
-        for key in reversed(self.keys):
-            self.fields[key] = done.pop()
-        return tuple(self.fields) if self.make is tuple else self.make(**self.fields)
-
-
 def translate_sentence(m: SignatureMorphism, sentence: Sentence) -> Sentence:
-    """Rename the sentence's symbols along `m` in one pre-order pass over an
-    explicit stack. Each name node is looked up when the walk meets it, so a
-    symbol without an image is reported at its first occurrence."""
+    """Rename the sentence's symbols along `m`. Each name node is looked up
+    before its children, so a symbol without an image is reported at its
+    first occurrence in pre-order."""
     if sentence.logic_id != m.source.logic_id:
         raise LogicMismatch(
             f"sentence in {sentence.logic_id} under a {m.source.logic_id} morphism"
         )
     kinds = get_logic(sentence.logic_id).name_nodes
-    done: list[Any] = []
-    todo: list[Any] = [sentence.ast]
-    while todo:
-        node = todo.pop()
+
+    def rename(node: Any) -> Any:
+        """The node's image; for a node with children, a generator for `run`
+        that builds it, so that a leaf makes no generator."""
         node_type = type(node)
-        if node_type is _Rebuild:
-            done.append(node.build(done))
-            continue
-        if node_type is tuple:
-            todo.append(_Rebuild(tuple, list(node), range(len(node))))
-            todo.extend(reversed(node))
-            continue
-        kind, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
+        kind, names, keys, has_args = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
         if kind is None and not keys:
-            done.append(node)
-            continue
-        fields = dict(vars(node))
+            return node
+        fields = {name: getattr(node, name) for name in names}
         if kind is not None:
             sym = Symbol(node.origin, node.name, kind, len(node.args) if has_args else 0)
             image = m.mapping.get(sym)
             if image is None:
                 raise SymbolNotInSource(f"{sym!r} occurs in the sentence but not in the morphism")
             fields["origin"], fields["name"] = image.origin, image.name
-        if keys:
-            todo.append(_Rebuild(node_type, fields, keys))
-            todo.extend([fields[key] for key in reversed(keys)])
-        else:
-            done.append(node_type(**fields))
-    return Sentence(sentence.logic_id, done[0], sentence.label, sentence.role)
+        return rebuild(node, node_type, fields, keys) if keys else node_type(**fields)
+
+    def rebuild(node: Any, node_type: type, fields: dict[str, Any], keys: tuple[str, ...]):
+        for key in keys:
+            child = getattr(node, key)
+            images = []
+            for item in child if type(child) is tuple else (child,):
+                image = rename(item)
+                images.append((yield image) if type(image) is GeneratorType else image)
+            fields[key] = tuple(images) if type(child) is tuple else images[0]
+        return node_type(**fields)
+
+    image = rename(sentence.ast)
+    if type(image) is GeneratorType:
+        image = run(image)
+    return Sentence(sentence.logic_id, image, sentence.label, sentence.role)
+
+
+def sentence_key(sentence: Sentence) -> tuple:
+    """A flat tuple that is equal for two sentences exactly when their logic,
+    role and AST are, built without recursion or hashing a node: each node's
+    type and string fields in pre-order, children last-first, and each
+    tuple's length."""
+    kinds = get_logic(sentence.logic_id).name_nodes
+    key: list[Any] = [sentence.logic_id, sentence.role]
+    todo = [sentence.ast]
+    while todo:
+        node = todo.pop()
+        node_type = type(node)
+        if node_type is tuple:
+            key.append(len(node))
+            todo.extend(node)
+            continue
+        _, names, keys, _ = _LAYOUTS.get(node_type) or _layout(kinds, node_type)
+        key.append(node_type)
+        for name in names:
+            key.append(getattr(node, name))
+        for field in keys:
+            todo.append(getattr(node, field))
+    return tuple(key)
 
 
 def signature_union(a: Signature, b: Signature) -> Signature:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Union
 
 from ..errors import ParseError, UnknownConstruct
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, symbols_of
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
 from ._scan import TokenCursor, scan
 
 Term = Union["FVar", "FConst"]
@@ -132,7 +132,7 @@ def _var_tptp_name(name: str) -> str:
 
 def print_fol(ast: FolAst, prefixes: Mapping[str, str] | None = None) -> str:
     """Render a formula in TPTP FOF syntax (binary connectives parenthesized)."""
-    return _print(ast, prefixes)
+    return run(_print(ast, prefixes))
 
 
 def _print_term(t: Term, prefixes: Mapping[str, str] | None) -> str:
@@ -141,7 +141,7 @@ def _print_term(t: Term, prefixes: Mapping[str, str] | None) -> str:
     return _symbol_tptp_name(t.origin, t.name, prefixes)
 
 
-def _print(ast: FolAst, prefixes: Mapping[str, str] | None) -> str:
+def _print(ast: FolAst, prefixes: Mapping[str, str] | None) -> Walk:
     if isinstance(ast, FTrue):
         return "$true"
     if isinstance(ast, FFalse):
@@ -154,17 +154,17 @@ def _print(ast: FolAst, prefixes: Mapping[str, str] | None) -> str:
     if isinstance(ast, FEq):
         return f"({_print_term(ast.left, prefixes)} = {_print_term(ast.right, prefixes)})"
     if isinstance(ast, FNot):
-        body = _print(ast.body, prefixes)
+        body = yield _print(ast.body, prefixes)
         if isinstance(ast.body, (FAtom, FTrue, FFalse, FBin, FEq)):
             # FBin/FEq already come parenthesized
             return "~" + body
         return "~(" + body + ")"
     if isinstance(ast, FBin):
         op = {"and": "&", "or": "|", "impl": "=>", "iff": "<=>"}[ast.op]
-        return f"({_print(ast.left, prefixes)} {op} {_print(ast.right, prefixes)})"
+        return f"({(yield _print(ast.left, prefixes))} {op} {(yield _print(ast.right, prefixes))})"
     if isinstance(ast, FQuant):
         sigil = "!" if ast.quant == "forall" else "?"
-        return f"{sigil}[{_var_tptp_name(ast.var)}]: {_print(ast.body, prefixes)}"
+        return f"{sigil}[{_var_tptp_name(ast.var)}]: {(yield _print(ast.body, prefixes))}"
     raise TypeError(f"not a FOL ast: {ast!r}")
 
 
@@ -176,7 +176,7 @@ def print_tptp(
 ) -> str:
     """One TPTP FOF annotated formula: `fof(name, role, formula).`"""
     ast = sentence.ast if isinstance(sentence, Sentence) else sentence
-    return f"fof({sanitize_tptp_name(name)}, {role}, {_print(ast, prefixes)})."
+    return f"fof({sanitize_tptp_name(name)}, {role}, {print_fol(ast, prefixes)})."
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from ..errors import ParseError, UndeclaredPrefix
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, symbols_of
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
 from ._scan import Tok, scan
 
 PropAst = Union["PTrue", "PFalse", "PVar", "PNot", "PBin"]
@@ -151,29 +151,37 @@ _LEVEL = {"iff": 1, "impl": 2, "or": 3, "and": 4}
 
 def print_prop(ast: PropAst, prefixes: Mapping[str, str] | None = None) -> str:
     rev = {iri: pfx for pfx, iri in (prefixes or {}).items()}
-    return _print(ast, 0, rev)
+    return _literal(ast, rev) or run(_print(ast, 0, rev))
 
 
-def _print(ast: PropAst, parent_level: int, rev: dict[str, str]) -> str:
+def _literal(ast: PropAst, rev: dict[str, str]) -> str:
+    """The text of a constant, an atom or a negated one; "" for another formula."""
+    if isinstance(ast, PNot):
+        body = "" if isinstance(ast.body, PNot) else _literal(ast.body, rev)
+        return body and "not " + body
     if isinstance(ast, PTrue):
         return "true"
     if isinstance(ast, PFalse):
         return "false"
-    if isinstance(ast, PVar):
-        if not ast.origin:
-            return ast.name
-        pfx = rev.get(ast.origin)
-        return f"{pfx}:{ast.name}" if pfx else f"{ast.origin}:{ast.name}"
+    if not isinstance(ast, PVar):
+        return ""
+    if not ast.origin:
+        return ast.name
+    pfx = rev.get(ast.origin)
+    return f"{pfx}:{ast.name}" if pfx else f"{ast.origin}:{ast.name}"
+
+
+def _print(ast: PropAst, parent_level: int, rev: dict[str, str]) -> Walk:
     if isinstance(ast, PNot):
-        return "not " + _print(ast.body, 5, rev)
+        return "not " + (_literal(ast.body, rev) or (yield _print(ast.body, 5, rev)))
     level = _LEVEL[ast.op]
     # impl/iff associate to the right, and/or to the left
     if ast.op in ("impl", "iff"):
-        left = _print(ast.left, level + 1, rev)
-        right = _print(ast.right, level, rev)
+        left = _literal(ast.left, rev) or (yield _print(ast.left, level + 1, rev))
+        right = _literal(ast.right, rev) or (yield _print(ast.right, level, rev))
     else:
-        left = _print(ast.left, level, rev)
-        right = _print(ast.right, level + 1, rev)
+        left = _literal(ast.left, rev) or (yield _print(ast.left, level, rev))
+        right = _literal(ast.right, rev) or (yield _print(ast.right, level + 1, rev))
     out = f"{left} {ast.op} {right}"
     return f"({out})" if level < parent_level else out
 

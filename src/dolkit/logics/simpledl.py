@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from ..errors import DolkitError, UndeclaredPrefix, UnknownConstruct
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, symbols_of
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, Walk, run, symbols_of
 from ._scan import Tok, TokenCursor, scan
 
 ClassExpr = Union["ClsName", "ClsNot", "ClsAnd", "ClsOr", "ClsSome", "ClsOnly"]
@@ -388,21 +388,20 @@ def _print_name(origin: str, name: str, rev: dict[str, str]) -> str:
     return f"<{origin}{name}>"
 
 
-def _print_expr(ast: ClassExpr, level: int, rev: dict[str, str]) -> str:
+def _print_expr(ast: ClassExpr, level: int, rev: dict[str, str]) -> Walk:
     if isinstance(ast, ClsName):
         return _print_name(ast.origin, ast.name, rev)
     if isinstance(ast, ClsNot):
-        return "not " + _print_expr(ast.body, 3, rev)
+        return "not " + (yield _print_expr(ast.body, 3, rev))
     if isinstance(ast, (ClsSome, ClsOnly)):
         word = "some" if isinstance(ast, ClsSome) else "only"
         prop = _print_name(ast.prop.origin, ast.prop.name, rev)
-        return f"{prop} {word} " + _print_expr(ast.filler, 3, rev)
-    if isinstance(ast, ClsAnd):
-        out = _print_expr(ast.left, 2, rev) + " and " + _print_expr(ast.right, 3, rev)
-        return f"({out})" if level > 2 else out
-    if isinstance(ast, ClsOr):
-        out = _print_expr(ast.left, 1, rev) + " or " + _print_expr(ast.right, 2, rev)
-        return f"({out})" if level > 1 else out
+        return f"{prop} {word} " + (yield _print_expr(ast.filler, 3, rev))
+    if isinstance(ast, (ClsAnd, ClsOr)):
+        word, own = ("and", 2) if isinstance(ast, ClsAnd) else ("or", 1)
+        left = yield _print_expr(ast.left, own, rev)
+        out = f"{left} {word} " + (yield _print_expr(ast.right, own + 1, rev))
+        return f"({out})" if level > own else out
     raise TypeError(f"not a class expression: {ast!r}")
 
 
@@ -417,14 +416,17 @@ def print_dl_sentence(ast: DlAst, prefixes: Mapping[str, str] | None = None) -> 
             raise DolkitError(f"cannot print a complex {what} as a frame subject")
         return name(expr)
 
+    def expr(e: ClassExpr) -> str:
+        return run(_print_expr(e, 0, rev))
+
     if isinstance(ast, SubClassOf):
-        return f"Class: {named_class(ast.sub, 'subclass')} SubClassOf: {_print_expr(ast.sup, 0, rev)}"
+        return f"Class: {named_class(ast.sub, 'subclass')} SubClassOf: {expr(ast.sup)}"
     if isinstance(ast, EquivalentClasses):
-        return f"Class: {named_class(ast.left, 'class')} EquivalentTo: {_print_expr(ast.right, 0, rev)}"
+        return f"Class: {named_class(ast.left, 'class')} EquivalentTo: {expr(ast.right)}"
     if isinstance(ast, DisjointClasses):
-        return f"Class: {named_class(ast.left, 'class')} DisjointWith: {_print_expr(ast.right, 0, rev)}"
+        return f"Class: {named_class(ast.left, 'class')} DisjointWith: {expr(ast.right)}"
     if isinstance(ast, ClassAssertion):
-        return f"Individual: {name(ast.individual)} Types: {_print_expr(ast.cls, 0, rev)}"
+        return f"Individual: {name(ast.individual)} Types: {expr(ast.cls)}"
     if isinstance(ast, PropertyAssertion):
         return f"Individual: {name(ast.subject)} Facts: {name(ast.prop)} {name(ast.obj)}"
     if isinstance(ast, SubPropertyOf):

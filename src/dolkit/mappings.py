@@ -21,8 +21,10 @@ from .kernel import (
     Signature,
     Symbol,
     Theory,
+    Walk,
     fresh_name,
     registered_logic_ids,
+    run,
 )
 from .logics import fol, prop, simpledl
 
@@ -169,7 +171,7 @@ def _prop_symbol_image(sym: Symbol) -> Symbol:
     return Symbol(sym.origin, sym.name, Kind.PREDICATE, 0)
 
 
-def _prop2fol_ast(ast) -> object:
+def _prop2fol_ast(ast) -> Walk:
     if isinstance(ast, prop.PTrue):
         return fol.FTrue()
     if isinstance(ast, prop.PFalse):
@@ -177,9 +179,9 @@ def _prop2fol_ast(ast) -> object:
     if isinstance(ast, prop.PVar):
         return fol.FAtom(ast.origin, ast.name, ())
     if isinstance(ast, prop.PNot):
-        return fol.FNot(_prop2fol_ast(ast.body))
+        return fol.FNot((yield _prop2fol_ast(ast.body)))
     if isinstance(ast, prop.PBin):
-        return fol.FBin(ast.op, _prop2fol_ast(ast.left), _prop2fol_ast(ast.right))
+        return fol.FBin(ast.op, (yield _prop2fol_ast(ast.left)), (yield _prop2fol_ast(ast.right)))
     raise TypeError(f"not a propositional ast: {ast!r}")
 
 
@@ -199,7 +201,7 @@ class Prop2Fol(LogicMapping):
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
         return Sentence(
-            "FOL", _prop2fol_ast(sentence.ast), sentence.label, sentence.role
+            "FOL", run(_prop2fol_ast(sentence.ast)), sentence.label, sentence.role
         )
 
 
@@ -234,31 +236,25 @@ class _FreshVars:
         return name
 
 
-def _cls_to_fol(expr, term, vars: _FreshVars):
+def _cls_to_fol(expr, term, vars: _FreshVars) -> Walk:
     if isinstance(expr, simpledl.ClsName):
         return fol.FAtom(expr.origin, expr.name, (term,))
     if isinstance(expr, simpledl.ClsNot):
-        return fol.FNot(_cls_to_fol(expr.body, term, vars))
-    if isinstance(expr, simpledl.ClsAnd):
-        return fol.FBin(
-            "and", _cls_to_fol(expr.left, term, vars), _cls_to_fol(expr.right, term, vars)
-        )
-    if isinstance(expr, simpledl.ClsOr):
-        return fol.FBin(
-            "or", _cls_to_fol(expr.left, term, vars), _cls_to_fol(expr.right, term, vars)
-        )
+        return fol.FNot((yield _cls_to_fol(expr.body, term, vars)))
+    if isinstance(expr, (simpledl.ClsAnd, simpledl.ClsOr)):
+        op = "and" if isinstance(expr, simpledl.ClsAnd) else "or"
+        left = yield _cls_to_fol(expr.left, term, vars)
+        return fol.FBin(op, left, (yield _cls_to_fol(expr.right, term, vars)))
     if isinstance(expr, simpledl.ClsSome):
         v = vars.take()
         link = fol.FAtom(expr.prop.origin, expr.prop.name, (term, fol.FVar(v)))
-        return fol.FQuant(
-            "exists", v, fol.FBin("and", link, _cls_to_fol(expr.filler, fol.FVar(v), vars))
-        )
+        filler = yield _cls_to_fol(expr.filler, fol.FVar(v), vars)
+        return fol.FQuant("exists", v, fol.FBin("and", link, filler))
     if isinstance(expr, simpledl.ClsOnly):
         v = vars.take()
         link = fol.FAtom(expr.prop.origin, expr.prop.name, (term, fol.FVar(v)))
-        return fol.FQuant(
-            "forall", v, fol.FBin("impl", link, _cls_to_fol(expr.filler, fol.FVar(v), vars))
-        )
+        filler = yield _cls_to_fol(expr.filler, fol.FVar(v), vars)
+        return fol.FQuant("forall", v, fol.FBin("impl", link, filler))
     raise TypeError(f"not a class expression: {expr!r}")
 
 
@@ -266,43 +262,26 @@ def _binary(p: simpledl.PropName, x, y) -> fol.FAtom:
     return fol.FAtom(p.origin, p.name, (x, y))
 
 
-def _dl2fol_ast(ast) -> object:
+def _dl2fol_ast(ast) -> Walk:
     vars = _FreshVars()
     if isinstance(ast, simpledl.SubClassOf):
         x = vars.take()
-        return fol.FQuant(
-            "forall",
-            x,
-            fol.FBin(
-                "impl",
-                _cls_to_fol(ast.sub, fol.FVar(x), vars),
-                _cls_to_fol(ast.sup, fol.FVar(x), vars),
-            ),
-        )
+        sub = yield _cls_to_fol(ast.sub, fol.FVar(x), vars)
+        sup = yield _cls_to_fol(ast.sup, fol.FVar(x), vars)
+        return fol.FQuant("forall", x, fol.FBin("impl", sub, sup))
     if isinstance(ast, simpledl.EquivalentClasses):
         x = vars.take()
-        return fol.FQuant(
-            "forall",
-            x,
-            fol.FBin(
-                "iff",
-                _cls_to_fol(ast.left, fol.FVar(x), vars),
-                _cls_to_fol(ast.right, fol.FVar(x), vars),
-            ),
-        )
+        left = yield _cls_to_fol(ast.left, fol.FVar(x), vars)
+        right = yield _cls_to_fol(ast.right, fol.FVar(x), vars)
+        return fol.FQuant("forall", x, fol.FBin("iff", left, right))
     if isinstance(ast, simpledl.DisjointClasses):
         x = vars.take()
-        return fol.FQuant(
-            "forall",
-            x,
-            fol.FBin(
-                "impl",
-                _cls_to_fol(ast.left, fol.FVar(x), vars),
-                fol.FNot(_cls_to_fol(ast.right, fol.FVar(x), vars)),
-            ),
-        )
+        left = yield _cls_to_fol(ast.left, fol.FVar(x), vars)
+        right = yield _cls_to_fol(ast.right, fol.FVar(x), vars)
+        return fol.FQuant("forall", x, fol.FBin("impl", left, fol.FNot(right)))
     if isinstance(ast, simpledl.ClassAssertion):
-        return _cls_to_fol(ast.cls, fol.FConst(ast.individual.origin, ast.individual.name), vars)
+        ind = fol.FConst(ast.individual.origin, ast.individual.name)
+        return (yield _cls_to_fol(ast.cls, ind, vars))
     if isinstance(ast, simpledl.PropertyAssertion):
         return _binary(
             ast.prop,
@@ -382,13 +361,13 @@ class Dl2Fol(LogicMapping):
         return Theory("", Signature("FOL", frozenset(symbols)), tuple(sentences))
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
-        return Sentence("FOL", _dl2fol_ast(sentence.ast), sentence.label, sentence.role)
+        return Sentence("FOL", run(_dl2fol_ast(sentence.ast)), sentence.label, sentence.role)
 
 
 # -- fol2prop --------------------------------------------------------------------
 
 
-def _fol2prop_ast(ast):
+def _fol2prop_ast(ast) -> Walk:
     """Propositional image of a FOL formula, or None when the formula uses
     quantifiers, equality, or predicates of arity > 0."""
     if isinstance(ast, fol.FTrue):
@@ -400,11 +379,11 @@ def _fol2prop_ast(ast):
             return None
         return prop.PVar(ast.origin, ast.name)
     if isinstance(ast, fol.FNot):
-        body = _fol2prop_ast(ast.body)
+        body = yield _fol2prop_ast(ast.body)
         return None if body is None else prop.PNot(body)
     if isinstance(ast, fol.FBin):
-        left = _fol2prop_ast(ast.left)
-        right = _fol2prop_ast(ast.right)
+        left = yield _fol2prop_ast(ast.left)
+        right = yield _fol2prop_ast(ast.right)
         if left is None or right is None:
             return None
         return prop.PBin(ast.op, left, right)
@@ -425,7 +404,7 @@ class Fol2Prop(LogicMapping):
         return Theory("", Signature("Prop", symbols), ())
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
-        image = _fol2prop_ast(sentence.ast)
+        image = run(_fol2prop_ast(sentence.ast))
         if image is None:
             return None
         return Sentence("Prop", image, sentence.label, sentence.role)

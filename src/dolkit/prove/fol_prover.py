@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import UnsupportedFeature
-from ..kernel import Sentence
+from ..kernel import Sentence, Walk, run
 from ..logics import fol
 from .status import ProofStatus, Verdict
 
@@ -75,76 +75,51 @@ def _term_weight(t: Term) -> int:
 # -- clausification ---------------------------------------------------------------
 
 
-def _elim(ast):
-    if isinstance(ast, fol.FBin):
-        left, right = _elim(ast.left), _elim(ast.right)
-        if ast.op == "impl":
-            return fol.FBin("or", fol.FNot(left), right)
-        if ast.op == "iff":
-            return fol.FBin(
-                "and",
-                fol.FBin("or", fol.FNot(left), right),
-                fol.FBin("or", left, fol.FNot(right)),
-            )
-        return fol.FBin(ast.op, left, right)
-    if isinstance(ast, fol.FNot):
-        return fol.FNot(_elim(ast.body))
-    if isinstance(ast, fol.FQuant):
-        return fol.FQuant(ast.quant, ast.var, _elim(ast.body))
-    return ast
+_DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
 
 
-def _nnf(ast, positive: bool):
+def _nnf(ast, positive: bool) -> Walk:
+    """Negation normal form of `ast`, or of its negation if not `positive`,
+    in one pass: `impl` and `iff` expand by polarity, and `_junction` folds
+    the truth constants away as the result is built."""
     if isinstance(ast, fol.FNot):
-        return _nnf(ast.body, not positive)
+        return (yield _nnf(ast.body, not positive))
     if isinstance(ast, fol.FTrue):
         return fol.FTrue() if positive else fol.FFalse()
     if isinstance(ast, fol.FFalse):
         return fol.FFalse() if positive else fol.FTrue()
     if isinstance(ast, fol.FBin):
-        left = _nnf(ast.left, positive)
-        right = _nnf(ast.right, positive)
-        op = ast.op if positive else {"and": "or", "or": "and"}[ast.op]
-        return fol.FBin(op, left, right)
+        outer, inner = ("and", "or") if positive else ("or", "and")
+        if ast.op == "iff":  # (~l | r) & (l | ~r), negated (l & ~r) | (~l & r)
+            l0, r1 = (yield _nnf(ast.left, not positive)), (yield _nnf(ast.right, positive))
+            l1, r0 = (yield _nnf(ast.left, positive)), (yield _nnf(ast.right, not positive))
+            return _junction(outer, _junction(inner, l0, r1), _junction(inner, l1, r0))
+        if ast.op == "impl":  # ~l | r, negated l & ~r
+            left = yield _nnf(ast.left, not positive)
+            return _junction(inner, left, (yield _nnf(ast.right, positive)))
+        op = ast.op if positive else _DUAL[ast.op]
+        left = yield _nnf(ast.left, positive)
+        return _junction(op, left, (yield _nnf(ast.right, positive)))
     if isinstance(ast, fol.FQuant):
-        quant = ast.quant if positive else {"forall": "exists", "exists": "forall"}[ast.quant]
-        return fol.FQuant(quant, ast.var, _nnf(ast.body, positive))
+        body = yield _nnf(ast.body, positive)
+        if isinstance(body, (fol.FTrue, fol.FFalse)):
+            return body
+        return fol.FQuant(ast.quant if positive else _DUAL[ast.quant], ast.var, body)
     if isinstance(ast, fol.FEq):
         raise UnsupportedFeature("the internal prover does not handle equality atoms")
     return ast if positive else fol.FNot(ast)
 
 
-def _simplify(ast):
-    if isinstance(ast, fol.FBin):
-        left, right = _simplify(ast.left), _simplify(ast.right)
-        if ast.op == "and":
-            if isinstance(left, fol.FFalse) or isinstance(right, fol.FFalse):
-                return fol.FFalse()
-            if isinstance(left, fol.FTrue):
-                return right
-            if isinstance(right, fol.FTrue):
-                return left
-        else:
-            if isinstance(left, fol.FTrue) or isinstance(right, fol.FTrue):
-                return fol.FTrue()
-            if isinstance(left, fol.FFalse):
-                return right
-            if isinstance(right, fol.FFalse):
-                return left
-        return fol.FBin(ast.op, left, right)
-    if isinstance(ast, fol.FQuant):
-        body = _simplify(ast.body)
-        if isinstance(body, (fol.FTrue, fol.FFalse)):
-            return body
-        return fol.FQuant(ast.quant, ast.var, body)
-    if isinstance(ast, fol.FNot):
-        body = _simplify(ast.body)
-        if isinstance(body, fol.FTrue):
-            return fol.FFalse()
-        if isinstance(body, fol.FFalse):
-            return fol.FTrue()
-        return fol.FNot(body)
-    return ast
+def _junction(op: str, left, right):
+    """`left op right` for `and` or `or`, with the truth constants folded away."""
+    absorbing, neutral = (fol.FFalse, fol.FTrue) if op == "and" else (fol.FTrue, fol.FFalse)
+    if isinstance(left, absorbing) or isinstance(right, absorbing):
+        return absorbing()
+    if isinstance(left, neutral):
+        return right
+    if isinstance(right, neutral):
+        return left
+    return fol.FBin(op, left, right)
 
 
 class _Deadline(Exception):
@@ -159,13 +134,13 @@ class _Skolemizer:
 
     def formula_clauses(self, ast) -> list[frozenset[Literal]] | None:
         """Clauses of one NNF formula, or None when it simplifies to true."""
-        ast = _simplify(_nnf(_elim(ast), True))
+        ast = run(_nnf(ast, True))
         if isinstance(ast, fol.FTrue):
             return None
         if isinstance(ast, fol.FFalse):
             return [frozenset()]
-        matrix = self._skolemize(ast, {}, ())
-        return _distribute(matrix, self.deadline)
+        matrix = run(self._skolemize(ast, {}, ()))
+        return run(_distribute(matrix, self.deadline))
 
     def _fresh_var(self) -> Term:
         self.var_count += 1
@@ -175,25 +150,19 @@ class _Skolemizer:
         self.sk_count += 1
         return ("f", ("", f"sk{self.sk_count}"), universals)
 
-    def _skolemize(self, ast, env: dict[str, Term], universals: tuple[Term, ...]):
+    def _skolemize(self, ast, env: dict[str, Term], universals: tuple[Term, ...]) -> Walk:
         if isinstance(ast, fol.FQuant):
             if ast.quant == "forall":
                 var = self._fresh_var()
-                return self._skolemize(
-                    ast.body, {**env, ast.var: var}, universals + (var,)
-                )
-            return self._skolemize(
-                ast.body, {**env, ast.var: self._skolem(universals)}, universals
-            )
+                env, universals = {**env, ast.var: var}, universals + (var,)
+            else:
+                env = {**env, ast.var: self._skolem(universals)}
+            return (yield self._skolemize(ast.body, env, universals))
         if isinstance(ast, fol.FBin):
-            return fol.FBin(
-                ast.op,
-                self._skolemize(ast.left, env, universals),
-                self._skolemize(ast.right, env, universals),
-            )
+            left = yield self._skolemize(ast.left, env, universals)
+            return fol.FBin(ast.op, left, (yield self._skolemize(ast.right, env, universals)))
         if isinstance(ast, fol.FNot):
-            body = self._skolemize(ast.body, env, universals)
-            sign, pred, args = body
+            sign, pred, args = yield self._skolemize(ast.body, env, universals)
             return (not sign, pred, args)
         if isinstance(ast, fol.FAtom):
             args = tuple(self._term(a, env) for a in ast.args)
@@ -213,17 +182,18 @@ class _Skolemizer:
         return ("f", (t.origin, t.name), ())
 
 
-def _distribute(matrix, deadline: float) -> list[frozenset[Literal]]:
+def _distribute(matrix, deadline: float) -> Walk:
     """CNF of a skolemized NNF matrix (and/or tree over literal tuples).
     The CNF can be exponentially large, so this raises _Deadline once the
     deadline has passed."""
     if isinstance(matrix, tuple):  # a literal
         return [frozenset([matrix])]
     if isinstance(matrix, fol.FBin) and matrix.op == "and":
-        return _distribute(matrix.left, deadline) + _distribute(matrix.right, deadline)
+        lefts = yield _distribute(matrix.left, deadline)
+        return lefts + (yield _distribute(matrix.right, deadline))
     if isinstance(matrix, fol.FBin) and matrix.op == "or":
-        lefts = _distribute(matrix.left, deadline)
-        rights = _distribute(matrix.right, deadline)
+        lefts = yield _distribute(matrix.left, deadline)
+        rights = yield _distribute(matrix.right, deadline)
         out = []
         for left in lefts:
             for right in rights:

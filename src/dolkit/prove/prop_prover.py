@@ -11,19 +11,22 @@ import time
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from ..kernel import Sentence
+from ..kernel import Sentence, Walk, run
 from ..logics import prop
 from .status import ProofStatus, Verdict
 
 
 class _Cnf:
-    """Tseitin-style encoding; variable 1 is reserved as TRUE."""
+    """Tseitin-style encoding; variable 1 is reserved as TRUE. Equal subformulas
+    share the gate variable of their (op, operand literal, operand literal)."""
+
+    CONSTANTS = {prop.PTrue: 1, prop.PFalse: -1}
 
     def __init__(self) -> None:
         self.next_var = 2
         self.clauses: list[list[int]] = [[1]]
         self.atom_vars: dict[tuple[str, str], int] = {}
-        self.node_lits: dict[object, int] = {}
+        self.gates: dict[tuple[str, int, int], int] = {}
 
     def fresh(self) -> int:
         v = self.next_var
@@ -34,8 +37,7 @@ class _Cnf:
         key = (node.origin, node.name)
         v = self.atom_vars.get(key)
         if v is None:
-            v = self.fresh()
-            self.atom_vars[key] = v
+            v = self.atom_vars[key] = self.fresh()
         return v
 
     def assert_clause(self, node) -> None:
@@ -53,21 +55,26 @@ class _Cnf:
         self.clauses.append(clause)
 
     def literal(self, node) -> int:
-        cached = self.node_lits.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, prop.PTrue):
-            lit = 1
-        elif isinstance(node, prop.PFalse):
-            lit = -1
-        elif isinstance(node, prop.PVar):
-            lit = self.atom(node)
-        elif isinstance(node, prop.PNot):
-            lit = -self.literal(node.body)
-        else:
-            a = self.literal(node.left)
-            b = self.literal(node.right)
-            lit = self.fresh()
+        return self.leaf(node) or run(self.gate(node))
+
+    def leaf(self, node) -> int:
+        """The literal of a constant, an atom or a negated one; else 0."""
+        sign = 1
+        if type(node) is prop.PNot:
+            node, sign = node.body, -1
+        if type(node) is prop.PVar:
+            return sign * self.atom(node)
+        return sign * self.CONSTANTS.get(type(node), 0)
+
+    def gate(self, node) -> Walk:
+        """The literal of a formula that is not a `leaf`."""
+        if isinstance(node, prop.PNot):
+            return -(self.leaf(node.body) or (yield self.gate(node.body)))
+        a = self.leaf(node.left) or (yield self.gate(node.left))
+        b = self.leaf(node.right) or (yield self.gate(node.right))
+        lit = self.gates.get((node.op, a, b))
+        if lit is None:
+            lit = self.gates[node.op, a, b] = self.fresh()
             if node.op == "and":
                 self.clauses += [[-lit, a], [-lit, b], [lit, -a, -b]]
             elif node.op == "or":
@@ -76,7 +83,6 @@ class _Cnf:
                 self.clauses += [[-lit, -a, b], [lit, a], [lit, -b]]
             else:  # iff
                 self.clauses += [[-lit, -a, b], [-lit, a, -b], [lit, a, b], [lit, -a, -b]]
-        self.node_lits[node] = lit
         return lit
 
 

@@ -54,6 +54,7 @@ from .kernel import (
     Theory,
     fresh_name,
     get_logic,
+    sentence_key,
     signature_union,
     symbols_of,
     translate_sentence,
@@ -157,7 +158,7 @@ def _merge_sentences(groups: list[tuple[Sentence, ...]]) -> tuple[Sentence, ...]
     merged: list[Sentence] = []
     for group in groups:
         for s in group:
-            key = (s.logic_id, s.ast, s.role)
+            key = sentence_key(s)
             if key in seen_keys:
                 continue
             seen_keys.add(key)

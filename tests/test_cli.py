@@ -108,6 +108,17 @@ class TestAnalyze:
         }
         assert "Traceback" not in err
 
+    def test_a_3000_conjunct_axiom_is_analyzed_and_proved(self, capsys, tmp_path):
+        doc = tmp_path / "deep.dol"
+        conjunction = " and ".join(f"x{i}" for i in range(3000))
+        doc.write_text(f"logic Prop\nontology B = {{ {conjunction} }}\nontology Q = B then {{ x0 }}\n")
+        code, _, _ = run(capsys, "analyze", str(doc))
+        assert code == 0
+        for prover in ("internal-prop", "internal-fol"):
+            code, out, _ = run(capsys, "prove", "--prover", prover, str(doc))
+            assert code == 0
+            assert [a["status"] for a in json.loads(out)["attempts"]] == ["THM"]
+
     def test_empty_file_fails(self, capsys, tmp_path):
         empty = tmp_path / "empty.dol"
         empty.write_text("")

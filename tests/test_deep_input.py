@@ -1,0 +1,106 @@
+"""Formulas nested 3,000 deep: every AST walk prints, translates, merges and
+proves them without exhausting the recursion limit.
+
+Deep ASTs are compared through `sentence_key` or their printed text, since a
+dataclass's own `==` recurses."""
+
+import pytest
+
+from dolkit.kernel import Role, Sentence, sentence_key
+from dolkit.logics import print_dl_sentence, print_fol, print_prop
+from dolkit.logics.fol import FAtom, FBin, FConst
+from dolkit.logics.prop import PBin, PVar
+from dolkit.logics.simpledl import ClassAssertion, ClsAnd, ClsName, IndName, SubClassOf
+from dolkit.mappings import get_mapping
+from dolkit.prove import prove_fol_internal, prove_prop
+from dolkit.prove.status import ProofStatus
+from dolkit.structure import _merge_sentences
+
+DEPTH = 3000
+NAMES = [f"x{i}" for i in range(DEPTH)]
+
+
+def chain(leaf, join):
+    """`leaf(x0) join leaf(x1) join ...`, nested to the left."""
+    ast = leaf(NAMES[0])
+    for name in NAMES[1:]:
+        ast = join(ast, leaf(name))
+    return ast
+
+
+def prop_chain():
+    return chain(lambda n: PVar("", n), lambda a, b: PBin("and", a, b))
+
+
+def fol_chain(*args):
+    return chain(lambda n: FAtom("", n, args), lambda a, b: FBin("and", a, b))
+
+
+def key(logic_id, ast):
+    return sentence_key(Sentence(logic_id, ast))
+
+
+def print_prop_case():
+    return print_prop(prop_chain()), " and ".join(NAMES)
+
+
+def print_fol_case():
+    return print_fol(fol_chain()), "(" * (DEPTH - 1) + "x0" + "".join(f" & {n})" for n in NAMES[1:])
+
+
+def print_dl_case():
+    ast = SubClassOf(ClsName("", "C"), chain(lambda n: ClsName("", n), ClsAnd))
+    return print_dl_sentence(ast), "Class: C SubClassOf: " + " and ".join(NAMES)
+
+
+def prop2fol_case():
+    image = get_mapping("prop2fol").map_sentence(Sentence("Prop", prop_chain()))
+    return sentence_key(image), key("FOL", fol_chain())
+
+
+def fol2prop_case():
+    image = get_mapping("fol2prop").map_sentence(Sentence("FOL", fol_chain()))
+    return sentence_key(image), key("Prop", prop_chain())
+
+
+def dl2fol_case():
+    ast = ClassAssertion(chain(lambda n: ClsName("", n), ClsAnd), IndName("", "i"))
+    image = get_mapping("dl2fol").map_sentence(Sentence("SimpleDL", ast))
+    return sentence_key(image), key("FOL", fol_chain(FConst("", "i")))
+
+
+def merge_case():
+    twins = [Sentence("Prop", prop_chain(), label) for label in ("a", "b")]
+    return [s.label for s in _merge_sentences([tuple(twins)])], ["a"]
+
+
+def prove_fol_case():
+    axiom = Sentence("FOL", fol_chain(), "big")
+    verdict = prove_fol_internal([axiom], Sentence("FOL", FAtom("", "x0"), role=Role.CONJECTURE), 10)
+    return (verdict.status, verdict.used_axioms), (ProofStatus.THM, ("big",))
+
+
+def prove_prop_case():
+    axiom = Sentence("Prop", prop_chain(), "big")
+    verdict = prove_prop([axiom], Sentence("Prop", PVar("", "x0"), role=Role.CONJECTURE), 10)
+    return (verdict.status, verdict.used_axioms), (ProofStatus.THM, ("big",))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        print_prop_case,
+        print_fol_case,
+        print_dl_case,
+        prop2fol_case,
+        fol2prop_case,
+        dl2fol_case,
+        merge_case,
+        prove_fol_case,
+        prove_prop_case,
+    ],
+    ids=lambda case: case.__name__.removesuffix("_case"),
+)
+def test_a_deep_formula(case):
+    got, expected = case()
+    assert got == expected

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dolkit.errors import ParseError, UnknownConstruct
 from dolkit.kernel import Role
@@ -16,12 +17,15 @@ from dolkit.logics.fol import (
     FAtom,
     FBin,
     FConst,
+    FEq,
+    FFalse,
     FNot,
     FolLogic,
     FQuant,
     FTrue,
     FVar,
     forall,
+    print_fol,
 )
 
 
@@ -91,6 +95,38 @@ def test_round_trip_on_generated_asts():
         text = print_tptp(ast, "g", "axiom")
         [(_, _, parsed)] = parse_fof_document(text)
         assert parsed == ast, text
+
+
+_VARS = ["X", "Y", "Z1"]
+_TERMS = st.one_of(
+    st.builds(FVar, st.sampled_from(_VARS)),
+    st.builds(FConst, st.just(""), st.sampled_from(["a", "b", "c_2"])),
+)
+_ATOMS = st.one_of(
+    st.builds(FAtom, st.just(""), st.sampled_from(["p", "q", "likes"]), st.tuples(*[_TERMS] * 2)),
+    st.builds(FAtom, st.just(""), st.sampled_from(["p", "r"])),
+    st.builds(FEq, _TERMS, _TERMS),
+    st.just(FTrue()),
+    st.just(FFalse()),
+)
+_FORMULAS = st.recursive(
+    _ATOMS,
+    lambda sub: st.one_of(
+        st.builds(FNot, sub),
+        st.builds(FBin, st.sampled_from(["and", "or", "impl", "iff"]), sub, sub),
+        st.builds(FQuant, st.sampled_from(["forall", "exists"]), st.sampled_from(_VARS), sub),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS)
+def test_print_then_parse_is_identity(ast):
+    # closed over every variable, so that the parser finds each one bound;
+    # inner quantifiers may shadow
+    closed = forall(_VARS, ast)
+    assert parse_fof_formula(print_fol(closed), allow_equality=True) == closed
 
 
 class TestSanitize:

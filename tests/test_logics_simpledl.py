@@ -1,6 +1,7 @@
 """Manchester-subset parser and printer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dolkit.errors import ParseError, UndeclaredPrefix, UnknownConstruct
 from dolkit.kernel import Kind
@@ -13,12 +14,16 @@ from dolkit.logics.simpledl import (
     ClsOnly,
     ClsOr,
     ClsSome,
+    DisjointClasses,
     EquivalentClasses,
     IndName,
+    InverseProperties,
     PropertyAssertion,
     PropName,
     SimpleDlLogic,
     SubClassOf,
+    SubPropertyOf,
+    TransitiveProperty,
 )
 
 from conftest import FIXTURES
@@ -155,13 +160,6 @@ def _gen_expr(rng, depth):
 def test_round_trip_on_generated_sentences():
     import random
 
-    from dolkit.logics.simpledl import (
-        DisjointClasses,
-        InverseProperties,
-        SubPropertyOf,
-        TransitiveProperty,
-    )
-
     rng = random.Random(31)
     for _ in range(300):
         roll = rng.random()
@@ -183,6 +181,46 @@ def test_round_trip_on_generated_sentences():
             ast = TransitiveProperty(PropName("", "p"))
         printed = print_dl_sentence(ast)
         assert parse_dl_frame(printed) == [ast], printed
+
+
+_DL_PREFIXES = {"f": "http://f.org/"}
+# bare, compacted to `f:`, and printed as a full IRI
+_ORIGINS = st.sampled_from(["", "http://f.org/", "http://g.org#"])
+
+
+def _named(node_type):
+    return st.builds(node_type, _ORIGINS, st.sampled_from(["A", "Person", "has_part", "x1"]))
+
+
+_EXPRS = st.recursive(
+    _named(ClsName),
+    lambda sub: st.one_of(
+        st.builds(ClsNot, sub),
+        st.builds(ClsAnd, sub, sub),
+        st.builds(ClsOr, sub, sub),
+        st.builds(ClsSome, _named(PropName), sub),
+        st.builds(ClsOnly, _named(PropName), sub),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(SubClassOf, _named(ClsName), _EXPRS),
+        st.builds(EquivalentClasses, _named(ClsName), _EXPRS),
+        st.builds(DisjointClasses, _named(ClsName), _EXPRS),
+        st.builds(ClassAssertion, _EXPRS, _named(IndName)),
+        st.builds(PropertyAssertion, _named(PropName), _named(IndName), _named(IndName)),
+        st.builds(SubPropertyOf, _named(PropName), _named(PropName)),
+        st.builds(InverseProperties, _named(PropName), _named(PropName)),
+        st.builds(TransitiveProperty, _named(PropName)),
+    )
+)
+def test_print_then_parse_is_identity(ast):
+    printed = print_dl_sentence(ast, _DL_PREFIXES)
+    assert parse_dl_frame(printed, prefixes=_DL_PREFIXES) == [ast], printed
 
 
 def test_theory_printing_includes_declarations():

@@ -16,6 +16,7 @@ from dolkit.prove import (
     prove_all,
     prove_prop,
 )
+from dolkit.prove import orchestrate
 from dolkit.prove.status import ProofStatus
 from dolkit.select import Selection, SineParams, sine_select
 from dolkit.structure import ProofObligation, extract_obligations
@@ -163,11 +164,11 @@ class TestProveAll:
         assert [a.status for a in attempts] == [ProofStatus.ERR, ProofStatus.THM]
         assert "UnsupportedFeature" in attempts[0].output
 
-    def test_too_deep_a_formula_becomes_err(self):
+    def test_a_very_deep_formula_is_decided(self):
         from dolkit.kernel import Kind, Symbol
         from dolkit.logics.prop import PBin, PVar
 
-        # a 3,000-conjunct left-deep `and` overruns the recursion limit
+        # a 3,000-conjunct left-deep `and` once overran the recursion limit
         names = [f"x{i}" for i in range(3000)]
         deep = PVar("", names[0])
         for name in names[1:]:
@@ -177,13 +178,22 @@ class TestProveAll:
         ob = ProofObligation("goal", theory, Sentence("Prop", PVar("", "x0"), "goal", Role.CONJECTURE))
         provers = tuple(BUILTIN_PROVERS.values())
         attempts = prove_all([ob], AttemptConfig(provers=provers, timeout_seconds=5))
-        assert [(a.prover, a.status) for a in attempts] == [
-            ("internal-fol", ProofStatus.ERR),
-            ("internal-prop", ProofStatus.ERR),
+        assert [(a.prover, a.status, a.used_axioms) for a in attempts] == [
+            ("internal-fol", ProofStatus.THM, ("big",)),
+            ("internal-prop", ProofStatus.THM, ("big",)),
         ]
-        assert {a.output for a in attempts} == {
-            "NestingTooDeep: input nests deeper than the recursion limit"
-        }
+
+    def test_recursion_error_becomes_err(self, monkeypatch):
+        # the text parsers and the prover's term walks still recurse
+        def too_deep(*args):
+            raise RecursionError
+
+        monkeypatch.setattr(orchestrate, "prove_prop", too_deep)
+        ob = prop_obligations(["p"], ["p"])[0]
+        config = AttemptConfig(provers=(BUILTIN_PROVERS["internal-prop"],), timeout_seconds=5)
+        [attempt] = prove_all([ob], config)
+        assert attempt.status is ProofStatus.ERR
+        assert attempt.output == "NestingTooDeep: input nests deeper than the recursion limit"
 
 
 class TestMonotonicityEmpirically:

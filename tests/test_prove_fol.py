@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dolkit.errors import UnsupportedFeature
-from dolkit.kernel import Sentence
+from dolkit.kernel import Sentence, run
 from dolkit.logics import parse_fof_formula
+from dolkit.logics.fol import FAtom, FBin, FFalse, FNot, FTrue
 from dolkit.mappings import get_mapping, translate_theory
 from dolkit.prove import GRACE_SECONDS, prove_fol_internal
-from dolkit.prove.fol_prover import DEFAULT_CLAUSE_CAP, _apply_lits, _Saturation, _subsumes
+from dolkit.prove.fol_prover import DEFAULT_CLAUSE_CAP, _apply_lits, _nnf, _Saturation, _subsumes
 from dolkit.prove.status import ProofStatus
+
+from conftest import tt_entails
 
 
 def F(text: str, label: str | None = None) -> Sentence:
@@ -248,3 +251,36 @@ def test_indexed_subsumption_matches_brute_force(stored, to_process, data):
         assert sat.subsumed(query, processed_only=False) == any(
             _subsumes(old, query) for old in retained
         )
+
+
+_QUANTIFIER_FREE = st.recursive(
+    st.one_of(
+        st.builds(FAtom, st.just(""), st.sampled_from(["p", "q", "r"])),
+        st.just(FTrue()),
+        st.just(FFalse()),
+    ),
+    lambda sub: st.one_of(
+        st.builds(FNot, sub),
+        st.builds(FBin, st.sampled_from(["and", "or", "impl", "iff"]), sub, sub),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_QUANTIFIER_FREE, st.booleans())
+def test_one_pass_nnf_against_the_truth_table(ast, positive):
+    out = run(_nnf(ast, positive))
+    nodes, todo = [], [out]
+    while todo:
+        nodes.append(todo.pop())
+        if isinstance(nodes[-1], FBin):
+            todo += (nodes[-1].left, nodes[-1].right)
+    assert all(n.op in ("and", "or") for n in nodes if isinstance(n, FBin))
+    assert all(isinstance(n.body, FAtom) for n in nodes if isinstance(n, FNot))
+    constants = [n for n in nodes if isinstance(n, (FTrue, FFalse))]
+    assert not constants or nodes == constants  # only a whole result is a constant
+    to_prop = get_mapping("fol2prop").map_sentence
+    target = to_prop(Sentence("FOL", ast if positive else FNot(ast))).ast
+    image = to_prop(Sentence("FOL", out)).ast
+    assert tt_entails([image], target) and tt_entails([target], image)
