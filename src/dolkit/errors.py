@@ -8,8 +8,8 @@ class DolkitError(Exception):
 
 
 class NestingTooDeep(DolkitError):
-    """Input nests deeper than the text parsers or the prover's term walks,
-    which still recurse, can follow."""
+    """Input nests deeper than the prover's term walks, which still recurse,
+    can follow."""
 
     def __init__(self) -> None:
         super().__init__("input nests deeper than the recursion limit")

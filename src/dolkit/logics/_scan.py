@@ -1,9 +1,10 @@
-"""Tiny regex token scanner shared by the text-format parsers."""
+"""Tiny regex token scanner and operator-precedence loop shared by the
+text-format parsers."""
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..errors import ParseError
 
@@ -17,17 +18,19 @@ class Tok(NamedTuple):
     col: int
 
 
+_SKIP = frozenset({"WS", "COMMENT"})
+
+
 def scan(
     text: str,
     master: "re.Pattern[str]",
-    skip: frozenset[str] = frozenset({"WS", "COMMENT"}),
     start_line: int = 1,
     start_col: int = 1,
     token_end: Mapping[str, Callable[[str, int, int, int], int]] | None = None,
 ) -> list[Tok]:
     """Tokenize `text` with a named-group master regex.
 
-    Group names become token kinds; groups named in `skip` are dropped.
+    Group names become token kinds; `WS` and `COMMENT` pieces are dropped.
     Unmatchable input raises ParseError at its position. `start_line/col`
     shift positions for fragments embedded in a larger document.
     `token_end` maps a kind whose regex only opens its token to a function
@@ -52,7 +55,7 @@ def scan(
         kind = m.lastgroup or ""
         if token_end is not None and kind in token_end:
             end = token_end[kind](text, pos, line, pos - line_start + 1)
-        if kind not in skip:
+        if kind not in _SKIP:
             append(Tok(kind, text[pos:end], line, pos - line_start + 1))
         newlines = count("\n", pos, end)
         if newlines:
@@ -97,3 +100,49 @@ class TokenCursor:
 
     def error(self, message: str, *expected: str) -> ParseError:
         return ParseError(message, self.cur.line, self.cur.col, expected=tuple(expected))
+
+
+def climb(
+    cur: TokenCursor,
+    binary: Mapping[str, tuple[int, bool, Callable[[Any, Any], Any]]],
+    operand: Callable[[], Any],
+    *rpar: str,
+) -> Any:
+    """Read the formula at `cur` by operator precedence; leave `cur` after it.
+
+    `binary` maps an operator's spelling to its binding level (higher binds
+    tighter), whether it is right-associative, and its constructor. `operand()`
+    reads an operand or a prefix operator's constructor (a callable), which
+    takes the next operand alone: `not p and q` is `(not p) and q`. A `(` opens
+    a group that `cur.expect(*rpar)` closes. The stacks are explicit
+    (Dijkstra's shunting-yard), so input of any depth is read.
+    """
+    toks = cur.toks
+    ops: list[Any] = []  # None for an open `(`, prefix constructors, binary entries
+    lefts: list[Any] = []  # the left operand of each binary entry in `ops`
+    while True:
+        if toks[cur.i].text == "(":
+            ops.append(None)
+            cur.i += 1
+            continue
+        x = operand()
+        if callable(x):
+            ops.append(x)
+            continue
+        while True:  # `x` is a finished operand
+            op = binary.get(toks[cur.i].text)
+            # apply the prefixes, then the binary operators that bind at least as
+            # tight as `op` (tighter, if `op` associates to the right)
+            floor = 0 if op is None else op[0] - (not op[1])
+            while ops and ops[-1] is not None and (callable(ops[-1]) or ops[-1][0] > floor):
+                top = ops.pop()
+                x = top(x) if callable(top) else top[2](lefts.pop(), x)
+            if op is not None:
+                lefts.append(x)
+                ops.append(op)
+                cur.i += 1
+                break
+            if not ops:
+                return x
+            cur.expect(*rpar)
+            ops.pop()

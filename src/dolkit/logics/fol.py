@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Union
 
 from ..errors import ParseError, UnknownConstruct
 from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
-from ._scan import TokenCursor, scan
+from ._scan import TokenCursor, climb, scan
 
 Term = Union["FVar", "FConst"]
 FolAst = Union[
@@ -194,6 +195,15 @@ _TOKENS = re.compile(
 )
 
 
+# binding level (higher binds tighter), right-associative?, constructor
+_BINARY = {
+    "<=>": (1, True, partial(FBin, "iff")),
+    "=>": (2, True, partial(FBin, "impl")),
+    "|": (3, False, partial(FBin, "or")),
+    "&": (4, False, partial(FBin, "and")),
+}
+
+
 class _FofParser:
     def __init__(self, cur: TokenCursor, origin: str, allow_equality: bool):
         self.cur = cur
@@ -228,37 +238,14 @@ class _FofParser:
         return name, role, ast
 
     def formula(self) -> FolAst:
-        left = self.impl()
-        if self.cur.at("IFF"):
-            self.cur.advance()
-            return FBin("iff", left, self.formula())
-        return left
+        return climb(self.cur, _BINARY, self.unary, "PUNCT", ")")
 
-    def impl(self) -> FolAst:
-        left = self.disj()
-        if self.cur.at("IMPL"):
-            self.cur.advance()
-            return FBin("impl", left, self.impl())
-        return left
-
-    def disj(self) -> FolAst:
-        ast = self.conj()
-        while self.cur.at("PUNCT", "|"):
-            self.cur.advance()
-            ast = FBin("or", ast, self.conj())
-        return ast
-
-    def conj(self) -> FolAst:
-        ast = self.unary()
-        while self.cur.at("PUNCT", "&"):
-            self.cur.advance()
-            ast = FBin("and", ast, self.unary())
-        return ast
-
-    def unary(self) -> FolAst:
+    def unary(self) -> Any:
+        """An operand, or the constructor of `~` or of a quantifier, whose
+        variables stay bound until it is applied to its body."""
         if self.cur.at("PUNCT", "~"):
             self.cur.advance()
-            return FNot(self.unary())
+            return FNot
         if self.cur.at("PUNCT", "!") or self.cur.at("PUNCT", "?"):
             quant = "forall" if self.cur.advance().text == "!" else "exists"
             self.cur.expect("PUNCT", "[")
@@ -269,21 +256,11 @@ class _FofParser:
             self.cur.expect("PUNCT", "]")
             self.cur.expect("PUNCT", ":")
             self.bound.extend(names)
-            body = self.unary()
-            del self.bound[-len(names):]
-            for v in reversed(names):
-                body = FQuant(quant, v, body)
-            return body
-        if self.cur.at("PUNCT", "("):
-            self.cur.advance()
-            ast = self.formula()
-            self.cur.expect("PUNCT", ")")
-            return ast
+            return partial(self.quantify, quant, names)
         if self.cur.at("DOLLAR"):
             return FTrue() if self.cur.advance().text == "$true" else FFalse()
         if self.cur.at("UPPER"):
-            left = self.term()
-            return self.equality(left)
+            return self.equality(self.term())
         if self.cur.at("LOWER"):
             tok = self.cur.advance()
             if self.cur.at("PUNCT", "("):
@@ -298,6 +275,12 @@ class _FofParser:
                 return self.equality(FConst(self.origin, tok.text))
             return FAtom(self.origin, tok.text, ())
         raise self.cur.error("expected a formula", "atom", "~", "!", "?", "(")
+
+    def quantify(self, quant: str, names: list[str], body: FolAst) -> FolAst:
+        del self.bound[-len(names):]
+        for v in reversed(names):
+            body = FQuant(quant, v, body)
+        return body
 
     def equality(self, left: Term) -> FolAst:
         negated = self.cur.at("NEQ")

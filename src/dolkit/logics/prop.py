@@ -9,20 +9,21 @@ impl and iff are right-associative, and/or left-associative):
 Atom names may be prefixed (`pfx:name`); the prefix must be declared in the
 supplied prefix map and expands to the atom's origin.
 
-The parser climbs precedence over `_LEVEL`, so nesting costs one or two
-frames per level rather than one per precedence rule. A theory shares one
-atom table, so each spelled name is resolved, and its `PVar` built, once.
+The parser is `_scan.climb` over the `_BINARY` table, which the printer also
+reads, so text of any nesting depth parses. A theory shares one atom table,
+so each spelled name is resolved, and its `PVar` built, once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping, Union
 
 from ..errors import ParseError, UndeclaredPrefix
 from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
-from ._scan import Tok, scan
+from ._scan import Tok, TokenCursor, climb, scan
 
 PropAst = Union["PTrue", "PFalse", "PVar", "PNot", "PBin"]
 
@@ -78,7 +79,7 @@ def parse_prop(
     spelled name; share it only among sentences with equal `origin` and `prefixes`."""
     toks = scan(text, _TOKENS, start_line=start_line, start_col=start_col)
     p = _Parser(toks, origin, prefixes, {} if atoms is None else atoms)
-    ast = p.formula(1)
+    ast = climb(p, _BINARY, p.unary, "RPAR")
     tok = toks[p.i]
     if tok.kind != "EOF":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of sentence",))
@@ -86,8 +87,8 @@ def parse_prop(
 
 
 @dataclass
-class _Parser:
-    """Precedence climbing over one sentence's tokens, walked by index."""
+class _Parser(TokenCursor):
+    """A cursor over one sentence's tokens; `unary` reads an operand, or `PNot`, for `climb`."""
 
     toks: list[Tok]
     origin: str
@@ -95,20 +96,7 @@ class _Parser:
     atoms: dict[str, PVar]
     i: int = 0
 
-    def formula(self, min_level: int) -> PropAst:
-        """The longest formula whose binary operators bind at `min_level` or tighter."""
-        left = self.unary()
-        toks = self.toks
-        while True:
-            op = toks[self.i].text
-            level = _LEVEL.get(op, 0)  # only a NAME token can spell an operator
-            if level < min_level:
-                return left
-            self.i += 1
-            # impl/iff associate to the right, and/or to the left
-            left = PBin(op, left, self.formula(level if op in ("impl", "iff") else level + 1))
-
-    def unary(self) -> PropAst:
+    def unary(self) -> Any:
         tok = self.toks[self.i]
         text = tok.text
         if tok.kind == "NAME":
@@ -119,22 +107,13 @@ class _Parser:
                     atom = self.atoms[text] = self.resolve(tok)
                 return atom
             if text == "not":
-                return PNot(self.unary())
+                return PNot
             if text == "true":
                 return PTrue()
             if text == "false":
                 return PFalse()
             message = f"keyword {text!r} cannot start a formula"
             raise ParseError(message, tok.line, tok.col, ("atom",))
-        if tok.kind == "LPAR":
-            self.i += 1
-            ast = self.formula(1)
-            tok = self.toks[self.i]
-            if tok.kind != "RPAR":
-                found = f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input"
-                raise ParseError(found, tok.line, tok.col, ("RPAR",))
-            self.i += 1
-            return ast
         raise ParseError("expected a formula", tok.line, tok.col, ("atom", "not", "("))
 
     def resolve(self, tok: Tok) -> PVar:
@@ -146,7 +125,13 @@ class _Parser:
         return PVar(self.prefixes[pfx], local)
 
 
-_LEVEL = {"iff": 1, "impl": 2, "or": 3, "and": 4}
+# binding level (higher binds tighter), right-associative?, constructor
+_BINARY = {
+    "iff": (1, True, partial(PBin, "iff")),
+    "impl": (2, True, partial(PBin, "impl")),
+    "or": (3, False, partial(PBin, "or")),
+    "and": (4, False, partial(PBin, "and")),
+}
 
 
 def print_prop(ast: PropAst, prefixes: Mapping[str, str] | None = None) -> str:
@@ -174,9 +159,8 @@ def _literal(ast: PropAst, rev: dict[str, str]) -> str:
 def _print(ast: PropAst, parent_level: int, rev: dict[str, str]) -> Walk:
     if isinstance(ast, PNot):
         return "not " + (_literal(ast.body, rev) or (yield _print(ast.body, 5, rev)))
-    level = _LEVEL[ast.op]
-    # impl/iff associate to the right, and/or to the left
-    if ast.op in ("impl", "iff"):
+    level, right_assoc, _ = _BINARY[ast.op]
+    if right_assoc:
         left = _literal(ast.left, rev) or (yield _print(ast.left, level + 1, rev))
         right = _literal(ast.right, rev) or (yield _print(ast.right, level, rev))
     else:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping, Union
 
 from ..errors import DolkitError, UndeclaredPrefix, UnknownConstruct
 from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, Walk, run, symbols_of
-from ._scan import Tok, TokenCursor, scan
+from ._scan import Tok, TokenCursor, climb, scan
 
 ClassExpr = Union["ClsName", "ClsNot", "ClsAnd", "ClsOr", "ClsSome", "ClsOnly"]
 DlAst = Union[
@@ -142,7 +143,11 @@ _TOKENS = re.compile(
     r"|(?P<RPAR>\))"
 )
 
-_FRAMES = ("Class", "Individual", "ObjectProperty")
+_FRAMES = {
+    "Class": Kind.CLASS,
+    "Individual": Kind.INDIVIDUAL,
+    "ObjectProperty": Kind.OBJECT_PROPERTY,
+}
 _UNSUPPORTED_FRAMES = (
     "DataProperty",
     "AnnotationProperty",
@@ -169,6 +174,9 @@ _UNSUPPORTED_SECTIONS = (
     "DisjointProperties",
 )
 _EXPR_KEYWORDS = ("not", "and", "or", "some", "only")
+# binding level (higher binds tighter), right-associative?, constructor
+_BINARY = {"or": (1, False, ClsOr), "and": (2, False, ClsAnd)}
+_PREFIX = len(_BINARY) + 1  # `not` and restrictions: tighter than every binary operator
 _UNSUPPORTED_EXPR = ("min", "max", "exactly", "value", "Self", "that", "inverse")
 
 
@@ -241,12 +249,7 @@ class _FrameParser:
         self.cur.expect("COLON")
         subject = self._name_tok("a name")
         origin, local = self.names.resolve(subject)
-        kind = {
-            "Class": Kind.CLASS,
-            "Individual": Kind.INDIVIDUAL,
-            "ObjectProperty": Kind.OBJECT_PROPERTY,
-        }[head.text]
-        self.declared.add(Symbol(origin, local, kind, 0))
+        self.declared.add(Symbol(origin, local, _FRAMES[head.text], 0))
         while True:
             section = self.cur.cur
             if section.kind != "NAME" or not self.cur.toks[self.cur.i + 1].kind == "COLON":
@@ -313,39 +316,21 @@ class _FrameParser:
                 continue
             return
 
-    # class expressions: or < and < (not | restriction | atom)
     def class_expr(self) -> ClassExpr:
-        ast = self.and_expr()
-        while self.cur.at("NAME", "or"):
-            self.cur.advance()
-            ast = ClsOr(ast, self.and_expr())
-        return ast
+        return climb(self.cur, _BINARY, self.unary_expr, "RPAR")
 
-    def and_expr(self) -> ClassExpr:
-        ast = self.unary_expr()
-        while self.cur.at("NAME", "and"):
-            self.cur.advance()
-            ast = ClsAnd(ast, self.unary_expr())
-        return ast
-
-    def unary_expr(self) -> ClassExpr:
+    def unary_expr(self) -> Any:
+        """A class expression, or the constructor of `not` or of a restriction."""
         if self.cur.at("NAME", "not"):
             self.cur.advance()
-            return ClsNot(self.unary_expr())
-        if self.cur.at("LPAR"):
-            self.cur.advance()
-            ast = self.class_expr()
-            self.cur.expect("RPAR")
-            return ast
+            return ClsNot
         tok = self._name_tok("a class expression")
         if tok.kind == "NAME" and tok.text in _EXPR_KEYWORDS:
             raise self.cur.error(f"keyword {tok.text!r} cannot start an expression", "class name")
         origin, local = self.names.resolve(tok)
         if self.cur.at("NAME", "some") or self.cur.at("NAME", "only"):
-            which = self.cur.advance().text
-            filler = self.unary_expr()
-            prop = PropName(origin, local)
-            return ClsSome(prop, filler) if which == "some" else ClsOnly(prop, filler)
+            restriction = ClsSome if self.cur.advance().text == "some" else ClsOnly
+            return partial(restriction, PropName(origin, local))
         follower = self.cur.cur
         if follower.kind == "NAME" and follower.text in _UNSUPPORTED_EXPR:
             raise UnknownConstruct(
@@ -392,13 +377,14 @@ def _print_expr(ast: ClassExpr, level: int, rev: dict[str, str]) -> Walk:
     if isinstance(ast, ClsName):
         return _print_name(ast.origin, ast.name, rev)
     if isinstance(ast, ClsNot):
-        return "not " + (yield _print_expr(ast.body, 3, rev))
+        return "not " + (yield _print_expr(ast.body, _PREFIX, rev))
     if isinstance(ast, (ClsSome, ClsOnly)):
         word = "some" if isinstance(ast, ClsSome) else "only"
         prop = _print_name(ast.prop.origin, ast.prop.name, rev)
-        return f"{prop} {word} " + (yield _print_expr(ast.filler, 3, rev))
+        return f"{prop} {word} " + (yield _print_expr(ast.filler, _PREFIX, rev))
     if isinstance(ast, (ClsAnd, ClsOr)):
-        word, own = ("and", 2) if isinstance(ast, ClsAnd) else ("or", 1)
+        word = "and" if isinstance(ast, ClsAnd) else "or"
+        own = _BINARY[word][0]
         left = yield _print_expr(ast.left, own, rev)
         out = f"{left} {word} " + (yield _print_expr(ast.right, own + 1, rev))
         return f"({out})" if level > own else out
@@ -465,11 +451,7 @@ class SimpleDlLogic(Logic):
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:
         rev = {iri: pfx for pfx, iri in (prefixes or {}).items()}
         used = symbols_of(*t.sentences)
-        frame_word = {
-            Kind.CLASS: "Class",
-            Kind.INDIVIDUAL: "Individual",
-            Kind.OBJECT_PROPERTY: "ObjectProperty",
-        }
+        frame_word = {kind: word for word, kind in _FRAMES.items()}
         lines = []
         for sym in t.signature.sorted_symbols():
             if sym in used or sym.kind not in frame_word:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import jsonschema
 
+from dolkit import cli
 from dolkit.cli import main
 
 from conftest import FIXTURES
@@ -95,12 +96,24 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["error"]["type"] == "ParseError"
 
-    def test_deeply_nested_fragment_gives_error_json_and_exit_1(self, capsys, tmp_path):
+    def test_deeply_nested_fragment_is_analyzed(self, capsys, tmp_path):
         deep = tmp_path / "deep.dol"
         deep.write_text(
             "logic TPTP\nontology X = { fof(a, axiom, " + "(" * 1200 + "p" + ")" * 1200 + "). }\n"
         )
         code, out, err = run(capsys, "analyze", str(deep))
+        assert code == 0
+        [ontology] = json.loads(out)["ontologies"]
+        assert ontology["sentences"] == [{"label": "a", "role": "Axiom", "text": "p"}]
+        assert "Traceback" not in err
+
+    def test_recursion_error_gives_error_json_and_exit_1(self, capsys, monkeypatch):
+        # the prover's term walks still recurse
+        def too_deep(*args):
+            raise RecursionError
+
+        monkeypatch.setattr(cli, "build_analysis_report", too_deep)
+        code, out, err = run(capsys, "analyze", FAMILY)
         assert code == 1
         assert json.loads(out)["error"] == {
             "type": "NestingTooDeep",

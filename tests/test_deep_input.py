@@ -1,5 +1,6 @@
 """Formulas nested 3,000 deep: every AST walk prints, translates, merges and
-proves them without exhausting the recursion limit.
+proves them without exhausting the recursion limit, and the text parsers read
+deeply nested text.
 
 Deep ASTs are compared through `sentence_key` or their printed text, since a
 dataclass's own `==` recurses."""
@@ -7,10 +8,25 @@ dataclass's own `==` recurses."""
 import pytest
 
 from dolkit.kernel import Role, Sentence, sentence_key
-from dolkit.logics import print_dl_sentence, print_fol, print_prop
-from dolkit.logics.fol import FAtom, FBin, FConst
-from dolkit.logics.prop import PBin, PVar
-from dolkit.logics.simpledl import ClassAssertion, ClsAnd, ClsName, IndName, SubClassOf
+from dolkit.logics import (
+    parse_dl_frame,
+    parse_fof_formula,
+    print_dl_sentence,
+    print_fol,
+    print_prop,
+)
+from dolkit.logics.fol import FAtom, FBin, FConst, FNot
+from dolkit.logics.prop import PBin, PNot, PVar, parse_prop
+from dolkit.logics.simpledl import (
+    ClassAssertion,
+    ClsAnd,
+    ClsName,
+    ClsNot,
+    ClsSome,
+    IndName,
+    PropName,
+    SubClassOf,
+)
 from dolkit.mappings import get_mapping
 from dolkit.prove import prove_fol_internal, prove_prop
 from dolkit.prove.status import ProofStatus
@@ -104,3 +120,79 @@ def prove_prop_case():
 def test_a_deep_formula(case):
     got, expected = case()
     assert got == expected
+
+
+def wrap(ast, n, outer):
+    """`ast` inside `n` applications of `outer`."""
+    for _ in range(n):
+        ast = outer(ast)
+    return ast
+
+
+def right_chain(names, leaf, join):
+    """`leaf(names[0]) join (leaf(names[1]) join ...)`, nested to the right."""
+    ast = leaf(names[-1])
+    for name in reversed(names[:-1]):
+        ast = join(leaf(name), ast)
+    return ast
+
+
+def parse_dl(text):
+    [sentence] = parse_dl_frame("Class: A SubClassOf: " + text)
+    return sentence
+
+
+def print_dl(sentence):
+    return print_dl_sentence(sentence).removeprefix("Class: A SubClassOf: ")
+
+
+def dl_sub(expr):
+    return SubClassOf(ClsName("", "A"), expr)
+
+
+FOL_P, PROP_P, DL_B = FAtom("", "p"), PVar("", "p"), ClsName("", "B")
+TEXT_CASES = {
+    # id: (logic, text, parse, print, expected AST)
+    "fol_parens": ("FOL", "(" * 5000 + "p" + ")" * 5000, parse_fof_formula, print_fol, FOL_P),
+    "fol_negations": ("FOL", "~" * 1000 + "p", parse_fof_formula, print_fol, wrap(FOL_P, 1000, FNot)),
+    "fol_impl_chain": (
+        "FOL",
+        " => ".join(NAMES[:1000]),
+        parse_fof_formula,
+        print_fol,
+        right_chain(NAMES[:1000], lambda n: FAtom("", n), lambda a, b: FBin("impl", a, b)),
+    ),
+    "fol_iff_chain": (
+        "FOL",
+        " <=> ".join(NAMES[:1000]),
+        parse_fof_formula,
+        print_fol,
+        right_chain(NAMES[:1000], lambda n: FAtom("", n), lambda a, b: FBin("iff", a, b)),
+    ),
+    "prop_impl_chain": (
+        "Prop",
+        " impl ".join(NAMES),
+        parse_prop,
+        print_prop,
+        right_chain(NAMES, lambda n: PVar("", n), lambda a, b: PBin("impl", a, b)),
+    ),
+    "prop_negations": ("Prop", "not " * 1000 + "p", parse_prop, print_prop, wrap(PROP_P, 1000, PNot)),
+    "prop_parens": ("Prop", "(" * 5000 + "p" + ")" * 5000, parse_prop, print_prop, PROP_P),
+    "dl_negations": ("SimpleDL", "not " * 1000 + "B", parse_dl, print_dl, dl_sub(wrap(DL_B, 1000, ClsNot))),
+    "dl_restrictions": (
+        "SimpleDL",
+        "p some " * 1000 + "B",
+        parse_dl,
+        print_dl,
+        dl_sub(wrap(DL_B, 1000, lambda filler: ClsSome(PropName("", "p"), filler))),
+    ),
+    "dl_parens": ("SimpleDL", "(" * 5000 + "B" + ")" * 5000, parse_dl, print_dl, dl_sub(DL_B)),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_deep_text_parses_and_prints_back(case):
+    logic_id, text, parse, print_, expected = TEXT_CASES[case]
+    ast = parse(text)
+    assert key(logic_id, ast) == key(logic_id, expected)
+    assert key(logic_id, parse(print_(ast))) == key(logic_id, expected)

@@ -189,3 +189,42 @@ class TestParsing:
     def test_comments_ignored(self):
         [(name, _, _)] = parse_fof_document("% header\nfof(a, axiom, p). % tail\n")
         assert name == "a"
+
+
+_ANY = "expected a formula (expected atom | ~ | ! | ? | ()"
+
+_ERRORS = [
+    (parse_fof_formula, "(p & q", ParseError, "1:7: unexpected end of input (expected ))", 1, 7),
+    (parse_fof_formula, "(p q)", ParseError, "1:4: found 'q' (expected ))", 1, 4),
+    (parse_fof_formula, "p & q)", ParseError, "1:6: trailing input ')' (expected end of formula)", 1, 6),
+    (parse_fof_formula, "p &", ParseError, f"1:4: {_ANY}", 1, 4),
+    (parse_fof_formula, "p <=> ", ParseError, f"1:7: {_ANY}", 1, 7),
+    (parse_fof_formula, "p | | q", ParseError, f"1:5: {_ANY}", 1, 5),
+    (parse_fof_formula, "& p", ParseError, f"1:1: {_ANY}", 1, 1),
+    (parse_fof_formula, "~", ParseError, f"1:2: {_ANY}", 1, 2),
+    (parse_fof_formula, "()", ParseError, f"1:2: {_ANY}", 1, 2),
+    (parse_fof_formula, "p\n  & (q | )", ParseError, f"2:10: {_ANY}", 2, 10),
+    (parse_fof_formula, "![X: p(X)", ParseError, "1:4: found ':' (expected ])", 1, 4),
+    (parse_fof_formula, "![X] p(X)", ParseError, "1:6: found 'p' (expected :)", 1, 6),
+    (parse_fof_formula, "![X,]: p(X)", ParseError, "1:5: found ']' (expected variable)", 1, 5),
+    (parse_fof_formula, "(![X]: p(X)) & q(X)", ParseError, "1:18: unbound variable 'X'", 1, 18),
+    (parse_fof_formula, "![X]: p(X) & q(X)", ParseError, "1:16: unbound variable 'X'", 1, 16),
+    (parse_fof_formula, "![X]: ![Y]: r(X,Y) & s(Y)", ParseError, "1:24: unbound variable 'Y'", 1, 24),
+    (parse_fof_formula, "p(a,)", ParseError, "1:5: found ')' (expected term)", 1, 5),
+    (parse_fof_formula, "p(f(a))", UnknownConstruct, "1:3: function terms are not supported", 1, 3),
+    (parse_fof_formula, "a != b", UnknownConstruct, "1:3: equality atoms are not enabled", 1, 3),
+    (parse_fof_formula, "p ~ q", ParseError, "1:3: trailing input '~' (expected end of formula)", 1, 3),
+    (parse_fof_formula, "p $ q", ParseError, "1:3: unexpected character '$'", 1, 3),
+    (parse_fof_document, "fof(a, axiom, (p).", ParseError, "1:18: found '.' (expected ))", 1, 18),
+    (parse_fof_document, "fof(a, axiom, p q).", ParseError, "1:17: found 'q' (expected ))", 1, 17),
+    (parse_fof_document, "fof(a, axiom, p & ).", ParseError, f"1:19: {_ANY}", 1, 19),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message, line, col", _ERRORS)
+def test_parse_error_messages_and_positions(parse, text, error, message, line, col):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert (exc.value.line, exc.value.col) == (line, col)

@@ -238,3 +238,38 @@ def test_theory_of_a_very_long_intersection():
     t = SimpleDlLogic().parse_theory(text, "t")
     assert len(t.sentences) == 1
     assert len(t.signature.symbols) == 3001
+
+
+_ANY = "expected a class expression (expected a class expression)"
+
+_ERRORS = [
+    ("(B and C", ParseError, "1:30: unexpected end of input (expected RPAR)", 1, 30),
+    ("(B C)", ParseError, "1:25: found 'C' (expected RPAR)", 1, 25),
+    ("B and", ParseError, f"1:27: {_ANY}", 1, 27),
+    ("B or ", ParseError, f"1:27: {_ANY}", 1, 27),
+    ("B and ,", ParseError, f"1:28: {_ANY}", 1, 28),
+    ("not", ParseError, f"1:25: {_ANY}", 1, 25),
+    ("()", ParseError, f"1:23: {_ANY}", 1, 23),
+    ("and B", ParseError, "1:26: keyword 'and' cannot start an expression (expected class name)", 1, 26),
+    ("some B", ParseError, "1:27: keyword 'some' cannot start an expression (expected class name)", 1, 27),
+    ("B and or C", ParseError, "1:31: keyword 'or' cannot start an expression (expected class name)", 1, 31),
+    ("p some", ParseError, f"1:28: {_ANY}", 1, 28),
+    ("p only not", ParseError, f"1:32: {_ANY}", 1, 32),
+    ("p some (", ParseError, f"1:30: {_ANY}", 1, 30),
+    ("p some some B", ParseError, "1:34: keyword 'some' cannot start an expression (expected class name)", 1, 34),
+    ("p min 1 C", UnknownConstruct, "1:24: 'min' restrictions are outside the supported fragment", 1, 24),
+    ("p some B that C", UnknownConstruct, "1:31: 'that' restrictions are outside the supported fragment", 1, 31),
+    ("not min", UnknownConstruct, "1:26: 'min' is outside the supported fragment", 1, 26),
+    ("B C", ParseError, "1:24: found 'C' (expected Class: | Individual: | ObjectProperty:)", 1, 24),
+    ("(p some B))", ParseError, "1:32: expected a frame (expected Class: | Individual: | ObjectProperty:)", 1, 32),
+    ("x:B", UndeclaredPrefix, "1:22: prefix 'x' is not declared", None, None),
+]
+
+
+@pytest.mark.parametrize("expr, error, message, line, col", _ERRORS)
+def test_parse_error_messages_and_positions(expr, error, message, line, col):
+    with pytest.raises(error) as exc:
+        parse_dl_frame("Class: A SubClassOf: " + expr)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert (getattr(exc.value, "line", None), getattr(exc.value, "col", None)) == (line, col)

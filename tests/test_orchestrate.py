@@ -184,7 +184,7 @@ class TestProveAll:
         ]
 
     def test_recursion_error_becomes_err(self, monkeypatch):
-        # the text parsers and the prover's term walks still recurse
+        # the prover's term walks still recurse
         def too_deep(*args):
             raise RecursionError
 
