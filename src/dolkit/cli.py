@@ -20,7 +20,7 @@ import click
 from .dolparse import Combine, DolDocument, OntologyDef, RepoConfig, parse_document
 from .errors import DolkitError, NestingTooDeep, NotACombine
 from .kernel import get_logic
-from .mappings import Category, registry_list
+from .mappings import CATEGORIES, registry_lines
 from .prove import (
     BUILTIN_PROVERS,
     AttemptConfig,
@@ -228,7 +228,6 @@ def cmd_prove(
         timeout_seconds=timeout,
         selection=selection,
         workers=workers,
-        keep_temp=keep_temp,
         temp_dir=temp_dir,
         prefixes=env.prefixes,
     )
@@ -287,30 +286,12 @@ def cmd_graph(repo_path: str | None, file: str, fmt: str) -> int:
     return 0
 
 
-_CATEGORY_NAMES = {c.value: c for c in Category}
-
-
 @cli.command("logics")
-@click.option("--category", type=click.Choice(sorted(_CATEGORY_NAMES)), default=None)
+@click.option("--category", type=click.Choice(sorted(CATEGORIES)), default=None)
 def cmd_logics(category: str | None) -> int:
-    categories = [_CATEGORY_NAMES[category]] if category else list(Category)
-    for cat in categories:
-        for entry_ in registry_list(cat):
-            parts = [cat.value, entry_.id]
-            source, target = entry_.attr("source"), entry_.attr("target")
-            if source and target:
-                parts.append(f"{source}->{target}")
-                flags = [entry_.attr("direction") or "", entry_.attr("shape") or ""]
-                accuracy = entry_.attr("accuracy")
-                if accuracy:
-                    flags.append(accuracy)
-                parts.append(",".join(f for f in flags if f))
-            else:
-                for key in ("supported-by", "serialization-of", "extensions"):
-                    value = entry_.attr(key)
-                    if value:
-                        parts.append(f"{key}={value}")
-            _echo(" ".join(parts))
+    for cat in [category] if category else CATEGORIES:
+        for line in registry_lines(cat):
+            _echo(line)
     return 0
 
 

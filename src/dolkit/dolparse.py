@@ -34,17 +34,11 @@ from .errors import (
     DuplicateName,
     ParseError,
     RepoIoError,
-    UndeclaredPrefix,
     UnknownLogic,
     UnresolvedIri,
 )
-from .logics._scan import Tok, TokenCursor, scan
-from .mappings import (
-    EXTENSION_LOGICS,
-    extensions_for_logic,
-    logic_for_extension,
-    logic_for_language,
-)
+from .logics._scan import Tok, TokenCursor, expand_name, scan
+from .mappings import EXTENSION_LOGICS, logic_for_language
 
 _MASTER = re.compile(
     r"(?P<WS>\s+)"
@@ -97,7 +91,7 @@ class Ref:
 class Basic:
     logic_id: str
     text: str
-    line: int = 0
+    line: int = 1  # line and column of the opening `{`
     col: int = 0
 
     def __eq__(self, other) -> bool:  # positions are diagnostics, not identity
@@ -334,15 +328,8 @@ class _DolParser:
             if tok.text in _KEYWORDS:
                 raise self.cur.error(f"found keyword {tok.text!r}", "ontology reference")
             self.cur.advance()
-            if ":" in tok.text:
-                pfx, local = tok.text.split(":", 1)
-                iri_base = self.prefixes.get(pfx)
-                if iri_base is None:
-                    raise UndeclaredPrefix(
-                        f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared"
-                    )
-                return Ref(tok.text, iri_base + local)
-            return Ref(tok.text, None)
+            iri_base, local = expand_name(tok, self.prefixes)
+            return Ref(tok.text, None if iri_base is None else iri_base + local)
         raise self.cur.error(
             f"found {self.cur.cur.text!r}" if self.cur.cur.kind != "EOF" else "unexpected end of input",
             "ontology reference",
@@ -394,13 +381,8 @@ class _DolParser:
                 "symbol name",
             )
         self.cur.advance()
-        if ":" in tok.text:
-            pfx, local = tok.text.split(":", 1)
-            iri_base = self.prefixes.get(pfx)
-            if iri_base is None:
-                raise UndeclaredPrefix(f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared")
-            return CorrName(local, iri_base)
-        return CorrName(tok.text, None)
+        iri_base, local = expand_name(tok, self.prefixes)
+        return CorrName(local, iri_base)
 
     def _check_combines(self, doc: DolDocument) -> None:
         alignment_names = {a.name for a in doc.alignment_defs()}
@@ -550,13 +532,11 @@ def resolve_reference(iri: str, repo: RepoConfig) -> tuple[str, str, str]:
     suffix = candidate.suffix
     if suffix == ".dol":
         raise UnknownLogic(f"{iri!r}: nested DOL documents cannot be used as basic ontologies")
-    if logic_for_extension(suffix):
+    if suffix in EXTENSION_LOGICS:
         paths = [candidate]
     else:
-        ordered: list[str] = []
-        if entry.default_logic:
-            ordered.extend(extensions_for_logic(entry.default_logic))
-        ordered.extend(e for e in EXTENSION_LOGICS if e not in ordered)
+        # the default logic's extensions first, each group in table order
+        ordered = sorted(EXTENSION_LOGICS, key=lambda e: EXTENSION_LOGICS[e] != entry.default_logic)
         paths = [candidate.with_name(candidate.name + ext) for ext in ordered]
     for path in paths:
         if path.is_file():
@@ -564,8 +544,6 @@ def resolve_reference(iri: str, repo: RepoConfig) -> tuple[str, str, str]:
                 text = path.read_text(encoding="utf-8")
             except OSError as e:
                 raise RepoIoError(f"cannot read {path}: {e}") from e
-            logic_id = logic_for_extension(path.suffix)
-            assert logic_id is not None
-            return text, logic_id, prefix
+            return text, EXTENSION_LOGICS[path.suffix], prefix
     tried = ", ".join(str(p) for p in paths)
     raise RepoIoError(f"{iri!r} resolves under {prefix!r} but no file exists (tried: {tried})")

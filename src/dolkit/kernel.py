@@ -237,7 +237,11 @@ class Logic:
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
+        start_line: int = 1,
+        start_col: int = 1,
     ) -> Theory:
+        """Read a theory; error positions count from `start_line:start_col`,
+        where `text` begins in its document."""
         raise NotImplementedError
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:

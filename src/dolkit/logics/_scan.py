@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Mapping, NamedTuple
 
-from ..errors import ParseError
+from ..errors import ParseError, UndeclaredPrefix
 
 
 class Tok(NamedTuple):
@@ -64,6 +64,19 @@ def scan(
         pos = end
     append(Tok("EOF", "", line, pos - line_start + 1))
     return toks
+
+
+def expand_name(
+    tok: Tok, prefixes: Mapping[str, str] | None, origin: str | None = None
+) -> tuple[str | None, str]:
+    """Split the name `pfx:local` into the IRI that `prefixes` gives `pfx` and
+    `local`; a name without a prefix gives `(origin, name)`."""
+    pfx, colon, local = tok.text.partition(":")
+    if not colon:
+        return origin, tok.text
+    if prefixes is None or pfx not in prefixes:
+        raise UndeclaredPrefix(f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared")
+    return prefixes[pfx], local
 
 
 class TokenCursor:

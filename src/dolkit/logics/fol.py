@@ -308,10 +308,14 @@ class _FofParser:
 
 
 def parse_fof_document(
-    text: str, origin: str = "", allow_equality: bool = False
+    text: str,
+    origin: str = "",
+    allow_equality: bool = False,
+    start_line: int = 1,
+    start_col: int = 1,
 ) -> list[tuple[str, Role, FolAst]]:
     """Parse a sequence of `fof(name, role, formula).` statements."""
-    cur = TokenCursor(scan(text, _TOKENS))
+    cur = TokenCursor(scan(text, _TOKENS, start_line, start_col))
     return _FofParser(cur, origin, allow_equality).document()
 
 
@@ -342,12 +346,15 @@ class FolLogic(Logic):
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
+        start_line: int = 1,
+        start_col: int = 1,
     ) -> Theory:
         sentences: list[Sentence] = []
         labels: set[str] = set()
-        for fof_name, role, ast in parse_fof_document(text, origin):
+        statements = parse_fof_document(text, origin, start_line=start_line, start_col=start_col)
+        for fof_name, role, ast in statements:
             if fof_name in labels:
-                raise ParseError(f"duplicate formula name {fof_name!r}", 1, 1)
+                raise ParseError(f"duplicate formula name {fof_name!r}", start_line, start_col)
             labels.add(fof_name)
             sentences.append(Sentence(self.id, ast, fof_name, role))
         return Theory(name, Signature(self.id, symbols_of(*sentences)), tuple(sentences))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping, Union
 
-from ..errors import ParseError, UndeclaredPrefix
+from ..errors import ParseError
 from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
-from ._scan import Tok, TokenCursor, climb, scan
+from ._scan import Tok, TokenCursor, climb, expand_name, scan
 
 PropAst = Union["PTrue", "PFalse", "PVar", "PNot", "PBin"]
 
@@ -104,7 +104,7 @@ class _Parser(TokenCursor):
             if text not in _KEYWORDS:
                 atom = self.atoms.get(text)
                 if atom is None:
-                    atom = self.atoms[text] = self.resolve(tok)
+                    atom = self.atoms[text] = PVar(*expand_name(tok, self.prefixes, self.origin))
                 return atom
             if text == "not":
                 return PNot
@@ -115,14 +115,6 @@ class _Parser(TokenCursor):
             message = f"keyword {text!r} cannot start a formula"
             raise ParseError(message, tok.line, tok.col, ("atom",))
         raise ParseError("expected a formula", tok.line, tok.col, ("atom", "not", "("))
-
-    def resolve(self, tok: Tok) -> PVar:
-        if ":" not in tok.text:
-            return PVar(self.origin, tok.text)
-        pfx, local = tok.text.split(":", 1)
-        if self.prefixes is None or pfx not in self.prefixes:
-            raise UndeclaredPrefix(f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared")
-        return PVar(self.prefixes[pfx], local)
 
 
 # binding level (higher binds tighter), right-associative?, constructor
@@ -184,17 +176,19 @@ class PropLogic(Logic):
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
+        start_line: int = 1,
+        start_col: int = 1,
     ) -> Theory:
         """One sentence per non-empty line; `%%` starts a comment."""
         sentences: list[Sentence] = []
         atoms: dict[str, PVar] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=start_line):
             line = raw.split("%%", 1)[0]
             stripped = line.strip()
             if not stripped:
                 continue
-            indent = len(line) - len(line.lstrip())
-            ast = parse_prop(stripped, origin, prefixes, lineno, indent + 1, atoms)
+            col = len(line) - len(line.lstrip()) + (start_col if lineno == start_line else 1)
+            ast = parse_prop(stripped, origin, prefixes, lineno, col, atoms)
             sentences.append(Sentence(self.id, ast, f"{name}_{len(sentences) + 1}", Role.AXIOM))
         return Theory(name, Signature(self.id, symbols_of(*sentences)), tuple(sentences))
 

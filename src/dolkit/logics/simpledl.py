@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping, Union
 
-from ..errors import DolkitError, UndeclaredPrefix, UnknownConstruct
+from ..errors import DolkitError, UnknownConstruct
 from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, Walk, run, symbols_of
-from ._scan import Tok, TokenCursor, climb, scan
+from ._scan import Tok, TokenCursor, climb, expand_name, scan
 
 ClassExpr = Union["ClsName", "ClsNot", "ClsAnd", "ClsOr", "ClsSome", "ClsOnly"]
 DlAst = Union[
@@ -204,12 +204,7 @@ class _Names:
     def resolve(self, tok: Tok) -> tuple[str, str]:
         if tok.kind == "IRIREF":
             return split_iri(tok.text[1:-1], self.prefixes)
-        if ":" in tok.text:
-            pfx, local = tok.text.split(":", 1)
-            if pfx not in self.prefixes:
-                raise UndeclaredPrefix(f"{tok.line}:{tok.col}: prefix {pfx!r} is not declared")
-            return self.prefixes[pfx], local
-        return self.origin, tok.text
+        return expand_name(tok, self.prefixes, self.origin)
 
 
 class _FrameParser:
@@ -345,9 +340,11 @@ def parse_dl_frames(
     text: str,
     origin: str = "",
     prefixes: Mapping[str, str] | None = None,
+    start_line: int = 1,
+    start_col: int = 1,
 ) -> tuple[list[DlAst], frozenset[Symbol]]:
     """Parse frame text; returns the sentences and the declared symbols."""
-    cur = TokenCursor(scan(text, _TOKENS))
+    cur = TokenCursor(scan(text, _TOKENS, start_line, start_col))
     parser = _FrameParser(cur, _Names(origin, prefixes))
     parser.document()
     return parser.sentences, frozenset(parser.declared)
@@ -440,8 +437,10 @@ class SimpleDlLogic(Logic):
         name: str,
         origin: str = "",
         prefixes: Mapping[str, str] | None = None,
+        start_line: int = 1,
+        start_col: int = 1,
     ) -> Theory:
-        asts, declared = parse_dl_frames(text, origin, prefixes)
+        asts, declared = parse_dl_frames(text, origin, prefixes, start_line, start_col)
         sentences = tuple(
             Sentence(self.id, ast, f"{name}_{i}", Role.AXIOM) for i, ast in enumerate(asts, 1)
         )

@@ -5,6 +5,10 @@ first-order fragment) and fol2prop (the forgetful projection that keeps only
 nullary predicates). Mapping metadata records the translation/projection and
 plain/theoroidal dichotomies plus declared accuracy, and path search over the
 mapping graph backs heterogeneous unions.
+
+The registry is plain tables: the mappings by id, the ontology languages
+and the logic that reads each, the serializations and the language and file
+extensions of each, and the extension table derived from the last two.
 """
 
 from __future__ import annotations
@@ -78,9 +82,6 @@ class MappingMeta:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "accuracy", _close_accuracy(frozenset(self.accuracy)))
-
-    def accuracy_names(self) -> list[str]:
-        return sorted(a.value for a in self.accuracy)
 
 
 class LogicMapping:
@@ -412,46 +413,43 @@ class Fol2Prop(LogicMapping):
 
 # -- registry --------------------------------------------------------------------
 
+_MAPPINGS: dict[str, LogicMapping] = {m.meta.id: m for m in (Dl2Fol(), Fol2Prop(), Prop2Fol())}
 
-class Category(Enum):
-    ONTOLOGY_LANGUAGE = "OntologyLanguage"
-    LOGIC = "Logic"
-    SERIALIZATION = "Serialization"
-    MAPPING = "Mapping"
+# ontology language -> the logic that reads it
+LANGUAGES = {"OWL": "SimpleDL", "Propositional": "Prop", "TPTP": "FOL"}
 
+# serialization -> (ontology language, file extensions)
+SERIALIZATIONS = {
+    "manchester": ("OWL", (".omn", ".owl")),
+    "tptp-fof": ("TPTP", (".p", ".fof")),
+    "prop-text": ("Propositional", (".prop",)),
+}
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    category: Category
-    id: str
-    attributes: tuple[tuple[str, str], ...] = ()
+# file extension -> logic id, in the order unsuffixed IRIs probe them
+EXTENSION_LOGICS = {
+    ext: LANGUAGES[language] for language, exts in SERIALIZATIONS.values() for ext in exts
+}
 
-    def attr(self, key: str) -> str | None:
-        for k, v in self.attributes:
-            if k == key:
-                return v
-        return None
-
-
-_MAPPINGS: dict[str, LogicMapping] = {}
-_ENTRIES: list[RegistryEntry] = []
+# the categories of `dolkit logics`, in listing order
+CATEGORIES = ("OntologyLanguage", "Logic", "Serialization", "Mapping")
 
 
-def register_mapping(m: LogicMapping) -> None:
-    _MAPPINGS[m.meta.id] = m
-    _ENTRIES.append(
-        RegistryEntry(
-            Category.MAPPING,
-            m.meta.id,
-            (
-                ("source", m.meta.source_logic),
-                ("target", m.meta.target_logic),
-                ("direction", m.meta.direction.value),
-                ("shape", m.meta.shape.value),
-                ("accuracy", ",".join(m.meta.accuracy_names())),
-            ),
-        )
-    )
+def registry_lines(category: str) -> list[str]:
+    """The `dolkit logics` lines of one category, sorted by id."""
+    if category == "OntologyLanguage":
+        return [f"{category} {n} supported-by={logic}" for n, logic in sorted(LANGUAGES.items())]
+    if category == "Logic":
+        return [f"{category} {logic_id}" for logic_id in registered_logic_ids()]
+    if category == "Serialization":
+        return [
+            f"{category} {n} serialization-of={language} extensions={' '.join(exts)}"
+            for n, (language, exts) in sorted(SERIALIZATIONS.items())
+        ]
+    lines = []
+    for m in (_MAPPINGS[mid].meta for mid in sorted(_MAPPINGS)):
+        flags = ",".join([m.direction.value, m.shape.value, *sorted(a.value for a in m.accuracy)])
+        lines.append(f"{category} {m.id} {m.source_logic}->{m.target_logic} {flags}")
+    return lines
 
 
 def get_mapping(mapping_id: str) -> LogicMapping:
@@ -461,81 +459,14 @@ def get_mapping(mapping_id: str) -> LogicMapping:
         raise NoPath(f"no registered mapping {mapping_id!r}") from None
 
 
-def _register_builtins() -> None:
-    for logic_id in registered_logic_ids():
-        _ENTRIES.append(RegistryEntry(Category.LOGIC, logic_id))
-    _ENTRIES.extend(
-        [
-            RegistryEntry(
-                Category.ONTOLOGY_LANGUAGE, "OWL", (("supported-by", "SimpleDL"),)
-            ),
-            RegistryEntry(
-                Category.ONTOLOGY_LANGUAGE, "Propositional", (("supported-by", "Prop"),)
-            ),
-            RegistryEntry(Category.ONTOLOGY_LANGUAGE, "TPTP", (("supported-by", "FOL"),)),
-            RegistryEntry(
-                Category.SERIALIZATION,
-                "manchester",
-                (("serialization-of", "OWL"), ("extensions", ".omn .owl")),
-            ),
-            RegistryEntry(
-                Category.SERIALIZATION,
-                "tptp-fof",
-                (("serialization-of", "TPTP"), ("extensions", ".p .fof")),
-            ),
-            RegistryEntry(
-                Category.SERIALIZATION,
-                "prop-text",
-                (("serialization-of", "Propositional"), ("extensions", ".prop")),
-            ),
-        ]
-    )
-    for mapping in (Dl2Fol(), Fol2Prop(), Prop2Fol()):
-        register_mapping(mapping)
-
-
-_register_builtins()
-
-
-def registry_list(category: Category) -> list[RegistryEntry]:
-    return sorted((e for e in _ENTRIES if e.category is category), key=lambda e: e.id)
-
-
 def logic_for_language(name: str) -> str:
     """Resolve a `logic` declaration: either a logic id or a language name."""
     if name in registered_logic_ids():
         return name
-    for entry in registry_list(Category.ONTOLOGY_LANGUAGE):
-        if entry.id == name:
-            supported = entry.attr("supported-by")
-            if supported:
-                return supported
-    raise UnknownLogic(f"unknown logic or language {name!r}")
-
-
-def _extension_logics() -> dict[str, str]:
-    supported = {
-        e.id: e.attr("supported-by") for e in _ENTRIES if e.category is Category.ONTOLOGY_LANGUAGE
-    }
-    return {
-        ext: supported[e.attr("serialization-of")]
-        for e in _ENTRIES
-        if e.category is Category.SERIALIZATION
-        for ext in (e.attr("extensions") or "").split()
-    }
-
-
-# file extension -> logic id (serialization -> language -> supported-by
-# logic), in registration order, which is the order unsuffixed IRIs probe
-EXTENSION_LOGICS = _extension_logics()
-
-
-def logic_for_extension(ext: str) -> str | None:
-    return EXTENSION_LOGICS.get(ext)
-
-
-def extensions_for_logic(logic_id: str) -> tuple[str, ...]:
-    return tuple(ext for ext, logic in EXTENSION_LOGICS.items() if logic == logic_id)
+    try:
+        return LANGUAGES[name]
+    except KeyError:
+        raise UnknownLogic(f"unknown logic or language {name!r}") from None
 
 
 # -- path search -----------------------------------------------------------------

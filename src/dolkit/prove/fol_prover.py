@@ -305,24 +305,30 @@ def _match(a: Term, b: Term, subst: dict[str, Term]) -> bool:
 
 def _subsumes(c: Clause, d: Clause) -> bool:
     """C subsumes D when some substitution sends every literal of C to a
-    literal of D."""
-    if len(c.lits) > len(d.lits):
+    literal of D. Backtracks on an explicit stack, so clauses of any width
+    are compared: frame i holds the substitution that sends C's first i
+    literals into D, and the literals of D still untried for literal i."""
+    n = len(c.lits)
+    if n > len(d.lits):
         return False
-
-    def backtrack(i: int, subst: dict[str, Term]) -> bool:
-        if i == len(c.lits):
-            return True
-        sign, pred, args = c.lits[i]
-        for d_sign, d_pred, d_args in d.lits:
+    if not n:
+        return True
+    stack = [({}, iter(d.lits))]
+    while stack:
+        subst, untried = stack[-1]
+        sign, pred, args = c.lits[len(stack) - 1]
+        for d_sign, d_pred, d_args in untried:
             if d_sign != sign or d_pred != pred:
                 continue
             trial = dict(subst)
             if all(_match(x, y, trial) for x, y in zip(args, d_args)):
-                if backtrack(i + 1, trial):
+                if len(stack) == n:
                     return True
-        return False
-
-    return backtrack(0, {})
+                stack.append((trial, iter(d.lits)))
+                break
+        else:
+            stack.pop()
+    return False
 
 
 # -- saturation -------------------------------------------------------------------

@@ -49,8 +49,7 @@ class AttemptConfig:
     timeout_seconds: int = 10
     selection: SelectionSpec = None
     workers: int | None = None
-    keep_temp: bool = False
-    temp_dir: str | None = None
+    temp_dir: str | None = None  # when set, TPTP problem files are written and kept here
     prefixes: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -142,7 +141,7 @@ def run_attempt(
                 prover,
                 config.timeout_seconds,
                 workdir=config.temp_dir,
-                keep_file=config.keep_temp,
+                keep_file=config.temp_dir is not None,
                 problem_name=obligation.name,
             )
     except (DolkitError, RecursionError) as e:

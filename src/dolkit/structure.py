@@ -84,6 +84,7 @@ class Env:
         self.origin = origin
         self.prefixes = document.prefix_map
         self._definitions: dict[str, FlatDefinition] = {}
+        self._flattening: set[str] = set()  # definitions being flattened now
         self._by_iri: dict[str, Theory] = {}
         self._iri_nodes: dict[str, str] = {}  # iri -> graph/diagram node id
         self._expr_nodes: dict[OntologyExpr, tuple[str, Theory]] = {}
@@ -126,13 +127,19 @@ class Env:
 
     def flat_definition(self, item: OntologyDef) -> FlatDefinition:
         """The definition flattened, once per Env, so that shared bases are one
-        Theory object."""
+        Theory object. A definition that needs itself is an import cycle."""
         cached = self._definitions.get(item.name)
         if cached is None:
-            if isinstance(item.expr, Then):
-                cached = _flatten_then(item.expr, self, item.name)
-            else:
-                cached = FlatDefinition(flatten(item.expr, self, item.name))
+            if item.name in self._flattening:
+                raise DolkitError(f"import cycle through {item.name!r}")
+            self._flattening.add(item.name)
+            try:
+                if isinstance(item.expr, Then):
+                    cached = _flatten_then(item.expr, self, item.name)
+                else:
+                    cached = FlatDefinition(flatten(item.expr, self, item.name))
+            finally:
+                self._flattening.discard(item.name)
             self._definitions[item.name] = cached
         return cached
 
@@ -209,7 +216,7 @@ def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
     if isinstance(expr, Basic):
         logic = get_logic(expr.logic_id)
         return logic.parse_theory(
-            expr.text, name or "fragment", origin=env.origin, prefixes=env.prefixes
+            expr.text, name or "fragment", env.origin, env.prefixes, expr.line, expr.col + 1
         )
     if isinstance(expr, And):
         parts = [flatten(op, env) for op in expr.operands]
@@ -690,28 +697,6 @@ def dev_graph(doc: DolDocument, env: Env) -> DevGraph:
                 if isinstance(side, Ref):
                     links.append(DevLink(ref_node(side), item.name, LinkType.ALIGNMENT_SIDE))
     return DevGraph(tuple(nodes), tuple(links))
-
-
-def validate_acyclic(graph: DevGraph) -> None:
-    """Import/CombineInjection edges must form a DAG."""
-    adjacency: dict[str, list[str]] = {}
-    for link in graph.links:
-        if link.type in (LinkType.IMPORT, LinkType.COMBINE_INJECTION):
-            adjacency.setdefault(link.source, []).append(link.target)
-    state: dict[str, int] = {}
-
-    def visit(node: str) -> None:
-        state[node] = 1
-        for nxt in adjacency.get(node, ()):
-            if state.get(nxt) == 1:
-                raise DolkitError(f"import cycle through {nxt!r}")
-            if state.get(nxt) is None:
-                visit(nxt)
-        state[node] = 2
-
-    for node in graph.nodes:
-        if state.get(node) is None:
-            visit(node)
 
 
 def graph_to_dot(graph: DevGraph) -> str:

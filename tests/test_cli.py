@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from dolkit import cli
 from dolkit.cli import main
@@ -120,6 +121,35 @@ class TestAnalyze:
             "message": "input nests deeper than the recursion limit",
         }
         assert "Traceback" not in err
+
+    def test_definition_cycle_gives_error_json_and_exit_1(self, capsys, tmp_path):
+        doc = tmp_path / "cycle.dol"
+        doc.write_text("logic Propositional\nontology A = B and { p }\nontology B = A and { q }\n")
+        code, out, _ = run(capsys, "analyze", str(doc))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "DolkitError",
+            "message": "import cycle through 'A'",
+        }
+
+    @pytest.mark.parametrize(
+        "language, fragment, position",
+        [
+            ("Propositional", "{ p and }", "4:21"),
+            ("Propositional", "{ p\n  q and }", "5:8"),  # later lines start at column 1
+            ("TPTP", "{ fof(a, axiom, p &). }", "4:33"),
+            ("OWL", "{ Class: A SubClassOf: }", "4:37"),
+            ("OWL", "{ Class: x:A }", "4:23"),
+        ],
+    )
+    def test_fragment_error_gives_its_document_position(
+        self, capsys, tmp_path, language, fragment, position
+    ):
+        doc = tmp_path / "bad_fragment.dol"
+        doc.write_text(f"logic {language}\n\n\nontology A = {fragment}\n")
+        code, out, _ = run(capsys, "analyze", str(doc))
+        assert code == 1
+        assert json.loads(out)["error"]["message"].startswith(position + ": ")
 
     def test_a_3000_conjunct_axiom_is_analyzed_and_proved(self, capsys, tmp_path):
         doc = tmp_path / "deep.dol"
@@ -350,6 +380,14 @@ class TestLogics:
         assert code == 0
         assert all(l.startswith("Mapping ") for l in out.splitlines())
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("category", ["Logic", "Mapping", "OntologyLanguage", "Serialization"])
+    def test_category_is_its_lines_of_the_full_listing(self, capsys, category):
+        _, full, _ = run(capsys, "logics")
+        code, out, _ = run(capsys, "logics", "--category", category)
+        assert code == 0
+        expected = [l for l in full.splitlines() if l.split()[0] == category]
+        assert expected and out.splitlines() == expected
 
     def test_invalid_category(self, capsys):
         code, _, _ = run(capsys, "logics", "--category", "Nonsense")

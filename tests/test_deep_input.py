@@ -96,6 +96,19 @@ def prove_fol_case():
     return (verdict.status, verdict.used_axioms), (ProofStatus.THM, ("big",))
 
 
+def wide_clause_case():
+    """The 3,000-literal axiom subsumes the 3,001-literal one, and `x0 | q`
+    does not follow: the search saturates."""
+    wide = chain(lambda n: FAtom("", n), lambda a, b: FBin("or", a, b))
+    q = FAtom("", "q")
+    axioms = [
+        Sentence("FOL", ast, label)
+        for ast, label in ((wide, "a"), (FBin("or", wide, q), "b"), (FNot(q), "c"))
+    ]
+    conjecture = Sentence("FOL", FBin("or", FAtom("", "x0"), q), role=Role.CONJECTURE)
+    return prove_fol_internal(axioms, conjecture, 60).status, ProofStatus.CSA
+
+
 def prove_prop_case():
     axiom = Sentence("Prop", prop_chain(), "big")
     verdict = prove_prop([axiom], Sentence("Prop", PVar("", "x0"), role=Role.CONJECTURE), 10)
@@ -113,6 +126,7 @@ def prove_prop_case():
         dl2fol_case,
         merge_case,
         prove_fol_case,
+        wide_clause_case,
         prove_prop_case,
     ],
     ids=lambda case: case.__name__.removesuffix("_case"),

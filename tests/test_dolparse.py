@@ -59,8 +59,12 @@ class TestGrammarErrors:
             parse_document("logic OWL ontology X = {Class: A} ontology X = {Class: B}")
 
     def test_undeclared_prefix(self):
-        with pytest.raises(UndeclaredPrefix):
-            parse_document("logic OWL\nontology X = f9:thing")
+        for text, message in [
+            ("logic OWL\nontology X = f9:thing", "2:14: prefix 'f9' is not declared"),
+            ("logic OWL\nalignment A : x to y = f8:a = b", "2:24: prefix 'f8' is not declared"),
+        ]:
+            with pytest.raises(UndeclaredPrefix, match=f"^{message}$"):
+                parse_document(text)
 
     def test_unknown_logic(self):
         with pytest.raises(UnknownLogic):

@@ -9,9 +9,11 @@ from dolkit.kernel import Kind, Role, Sentence, Signature, Symbol, Theory
 from dolkit.logics import parse_fof_formula, parse_prop, print_fol
 from dolkit.logics.simpledl import SimpleDlLogic
 from dolkit.mappings import (
+    EXTENSION_LOGICS,
+    LANGUAGES,
     NEQ,
+    SERIALIZATIONS,
     Accuracy,
-    Category,
     Direction,
     MappingMeta,
     Shape,
@@ -19,7 +21,7 @@ from dolkit.mappings import (
     compose_meta,
     find_path,
     get_mapping,
-    registry_list,
+    registry_lines,
     translate_theory,
 )
 from dolkit.prove.fol_prover import prove_fol_internal
@@ -30,17 +32,17 @@ from conftest import gen_prop_ast, tt_entails
 
 class TestRegistry:
     def test_logics_listing(self):
-        assert [e.id for e in registry_list(Category.LOGIC)] == ["FOL", "Prop", "SimpleDL"]
+        assert registry_lines("Logic") == ["Logic FOL", "Logic Prop", "Logic SimpleDL"]
 
     def test_mappings_listing(self):
-        assert [e.id for e in registry_list(Category.MAPPING)] == [
+        assert [line.split()[1] for line in registry_lines("Mapping")] == [
             "dl2fol",
             "fol2prop",
             "prop2fol",
         ]
 
     def test_builtin_serializations(self):
-        ids = [e.id for e in registry_list(Category.SERIALIZATION)]
+        ids = [line.split()[1] for line in registry_lines("Serialization")]
         assert ids == ["manchester", "prop-text", "tptp-fof"]
 
 
@@ -389,15 +391,24 @@ class TestFindPathTable:
 
 class TestExtensions:
     def test_extension_lookups(self):
-        from dolkit.mappings import EXTENSION_LOGICS, extensions_for_logic, logic_for_extension
-
         probe_order = (".omn", ".owl", ".p", ".fof", ".prop")
         assert tuple(EXTENSION_LOGICS) == probe_order
-        assert [logic_for_extension(e) for e in probe_order] == [
+        assert [EXTENSION_LOGICS[e] for e in probe_order] == [
             "SimpleDL", "SimpleDL", "FOL", "FOL", "Prop",
         ]
-        assert logic_for_extension(".dol") is None and logic_for_extension("") is None
-        assert extensions_for_logic("SimpleDL") == (".omn", ".owl")
-        assert extensions_for_logic("FOL") == (".p", ".fof")
-        assert extensions_for_logic("Prop") == (".prop",)
-        assert extensions_for_logic("Nonesuch") == ()
+        assert ".dol" not in EXTENSION_LOGICS and "" not in EXTENSION_LOGICS
+        assert EXTENSION_LOGICS == {
+            ext: LANGUAGES[language] for language, exts in SERIALIZATIONS.values() for ext in exts
+        }
+
+    def test_default_logic_probes_its_extensions_first(self, tmp_path):
+        from dolkit.dolparse import RepoConfig, RepoEntry, resolve_reference
+        from dolkit.errors import RepoIoError
+
+        repo = RepoConfig((("http://x/", RepoEntry(tmp_path, "FOL")),))
+        with pytest.raises(RepoIoError) as e:
+            resolve_reference("http://x/thing", repo)
+        tried = str(e.value).split("tried: ")[1].rstrip(")").split(", ")
+        assert [t.removeprefix(str(tmp_path / "thing")) for t in tried] == [
+            ".p", ".fof", ".omn", ".owl", ".prop",
+        ]

@@ -8,6 +8,7 @@ import pytest
 
 from dolkit.dolparse import RepoConfig, parse_document
 from dolkit.errors import (
+    DolkitError,
     EmptyCombine,
     KindMismatch,
     NewSymbolInConjecture,
@@ -37,7 +38,6 @@ from dolkit.structure import (
     graph_to_dict,
     graph_to_dot,
     resolve_alignments,
-    validate_acyclic,
 )
 
 
@@ -136,6 +136,25 @@ class TestFlatten:
         names = {(s.name, s.kind, s.arity) for s in both.signature.symbols}
         assert ("p", Kind.PREDICATE, 0) in names and ("A", Kind.PREDICATE, 1) in names
         validate_theory(both)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "logic Propositional\nontology A = B and { p }\nontology B = A and { q }\n",
+            # A needs B, B combines Al, and Al needs A as a side
+            "logic Propositional\nontology A = B and { p }\nontology B = combine Al\n"
+            "alignment Al : A to { q } = p = q\n",
+        ],
+        ids=["plain", "through_combine"],
+    )
+    def test_definition_cycle_is_named(self, text):
+        doc = parse_document(text)
+        env = Env(doc, RepoConfig())
+        with pytest.raises(DolkitError, match="^import cycle through 'A'$"):
+            flatten_definition(doc.definitions()["A"], env)
+        # the failed attempt leaves nothing half-flattened behind
+        with pytest.raises(DolkitError, match="^import cycle through 'B'$"):
+            flatten_definition(doc.definitions()["B"], env)
 
 
 class TestBuildDiagram:
@@ -425,7 +444,6 @@ class TestValidateDocument:
 class TestDevGraph:
     def test_space_gets_three_injections(self, alignments_doc, alignments_env):
         g = dev_graph(alignments_doc, alignments_env)
-        validate_acyclic(g)
         injections = [l for l in g.links if l.type is LinkType.COMBINE_INJECTION]
         assert {l.source for l in injections} == {"DOLCE-Lite.owl", "1.1", "gfo.owl"}
         assert all(l.target == "Space" for l in injections)
@@ -441,7 +459,6 @@ class TestDevGraph:
 
     def test_family_graph_links(self, family_doc, family_env):
         g = dev_graph(family_doc, family_env)
-        validate_acyclic(g)
         imports = {(l.source, l.target) for l in g.links if l.type is LinkType.IMPORT}
         assert ("genealogy", "CQbase") in imports
         assert ("scenario", "CQbase") in imports
