@@ -182,12 +182,23 @@ def _parse_prover(value: str) -> ProverSpec:
 @cli.command("prove")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--prover", "provers", multiple=True, help="Prover id, repeatable.")
-@click.option("--timeout", default=10, show_default=True, help="Per-attempt timeout (s).")
+@click.option(
+    "--timeout",
+    default=10,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="Per-attempt timeout (s).",
+)
 @click.option("--theorem", "theorems", multiple=True, help="Prove only this obligation.")
 @click.option("--axioms", default=None, help="Comma-separated axiom labels.")
 @click.option("--sine", default=None, help="SInE parameters TOLERANCE,DEPTH,GENERALITY.")
 @click.option("--keep-temp", is_flag=True, help="Keep generated TPTP files.")
-@click.option("--workers", default=None, type=int, help="Concurrent attempt bound.")
+@click.option(
+    "--workers",
+    default=None,
+    type=click.IntRange(min=0),
+    help="Concurrent attempt bound (0: one per CPU).",
+)
 @click.pass_obj
 def cmd_prove(
     repo_path: str | None,

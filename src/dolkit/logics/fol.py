@@ -213,14 +213,19 @@ class _FofParser:
 
     def document(self) -> list[tuple[str, Role, FolAst]]:
         out = []
+        names: set[str] = set()
         while not self.cur.at("EOF"):
-            out.append(self.statement())
+            out.append(self.statement(names))
         return out
 
-    def statement(self) -> tuple[str, Role, FolAst]:
+    def statement(self, names: set[str]) -> tuple[str, Role, FolAst]:
         self.cur.expect("LOWER", "fof", what="fof")
         self.cur.expect("PUNCT", "(")
-        name = self.cur.expect("LOWER", what="formula name").text
+        name_tok = self.cur.expect("LOWER", what="formula name")
+        name = name_tok.text
+        if name in names:
+            raise ParseError(f"duplicate formula name {name!r}", name_tok.line, name_tok.col)
+        names.add(name)
         self.cur.expect("PUNCT", ",")
         role_tok = self.cur.expect("LOWER", what="formula role")
         if role_tok.text in ("axiom", "hypothesis", "definition", "lemma"):
@@ -314,7 +319,8 @@ def parse_fof_document(
     start_line: int = 1,
     start_col: int = 1,
 ) -> list[tuple[str, Role, FolAst]]:
-    """Parse a sequence of `fof(name, role, formula).` statements."""
+    """Parse a sequence of `fof(name, role, formula).` statements with
+    distinct names."""
     cur = TokenCursor(scan(text, _TOKENS, start_line, start_col))
     return _FofParser(cur, origin, allow_equality).document()
 
@@ -349,14 +355,8 @@ class FolLogic(Logic):
         start_line: int = 1,
         start_col: int = 1,
     ) -> Theory:
-        sentences: list[Sentence] = []
-        labels: set[str] = set()
         statements = parse_fof_document(text, origin, start_line=start_line, start_col=start_col)
-        for fof_name, role, ast in statements:
-            if fof_name in labels:
-                raise ParseError(f"duplicate formula name {fof_name!r}", start_line, start_col)
-            labels.add(fof_name)
-            sentences.append(Sentence(self.id, ast, fof_name, role))
+        sentences = [Sentence(self.id, ast, fof_name, role) for fof_name, role, ast in statements]
         return Theory(name, Signature(self.id, symbols_of(*sentences)), tuple(sentences))
 
     def print_theory(self, t: Theory, prefixes: Mapping[str, str] | None = None) -> str:

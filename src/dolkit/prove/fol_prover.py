@@ -1,5 +1,5 @@
-"""Internal first-order prover: clausification (NNF, Skolemization, CNF)
-followed by saturation with binary resolution and factoring.
+"""Internal first-order prover: clausification in one pass followed by
+saturation with binary resolution and factoring.
 
 Input is the function-free, equality-free fragment; Skolem functions are
 introduced internally. The given-clause loop alternates a weight-best pick
@@ -21,9 +21,10 @@ the same order and reaches the same subsumption verdicts:
   Feature Vector Indexing", 2013);
 - resolution partners: processed clauses under each (sign, predicate) key
   they hold, visited in processed order;
-- clause selection: queued clauses in a heap by (weight, age), with the
-  weight cached on the clause, and in a FIFO queue, which is in age order
-  because clauses are queued in the order they are made. Both delete lazily.
+- clause selection: queued clauses in a heap by (weight, id), with the
+  weight cached on the clause, and in a FIFO queue. Clause ids count up in
+  the order clauses are made, which is also the order they are queued in,
+  so both follow age. Both delete lazily.
 
 Only retained clauses (queued, processed or empty) are registered for
 refutation tracing, which suffices because parents are always processed.
@@ -58,7 +59,6 @@ class Clause:
     lits: tuple[Literal, ...]
     parents: tuple[int, ...]
     label: str | None
-    age: int
     # index data, set by _Saturation.push and process
     weight: int = 0
     mask: int = 0  # _Saturation.features(lits)
@@ -75,147 +75,96 @@ def _term_weight(t: Term) -> int:
 # -- clausification ---------------------------------------------------------------
 
 
-_DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
-
-
-def _nnf(ast, positive: bool) -> Walk:
-    """Negation normal form of `ast`, or of its negation if not `positive`,
-    in one pass: `impl` and `iff` expand by polarity, and `_junction` folds
-    the truth constants away as the result is built."""
-    if isinstance(ast, fol.FNot):
-        return (yield _nnf(ast.body, not positive))
-    if isinstance(ast, fol.FTrue):
-        return fol.FTrue() if positive else fol.FFalse()
-    if isinstance(ast, fol.FFalse):
-        return fol.FFalse() if positive else fol.FTrue()
-    if isinstance(ast, fol.FBin):
-        outer, inner = ("and", "or") if positive else ("or", "and")
-        if ast.op == "iff":  # (~l | r) & (l | ~r), negated (l & ~r) | (~l & r)
-            l0, r1 = (yield _nnf(ast.left, not positive)), (yield _nnf(ast.right, positive))
-            l1, r0 = (yield _nnf(ast.left, positive)), (yield _nnf(ast.right, not positive))
-            return _junction(outer, _junction(inner, l0, r1), _junction(inner, l1, r0))
-        if ast.op == "impl":  # ~l | r, negated l & ~r
-            left = yield _nnf(ast.left, not positive)
-            return _junction(inner, left, (yield _nnf(ast.right, positive)))
-        op = ast.op if positive else _DUAL[ast.op]
-        left = yield _nnf(ast.left, positive)
-        return _junction(op, left, (yield _nnf(ast.right, positive)))
-    if isinstance(ast, fol.FQuant):
-        body = yield _nnf(ast.body, positive)
-        if isinstance(body, (fol.FTrue, fol.FFalse)):
-            return body
-        return fol.FQuant(ast.quant if positive else _DUAL[ast.quant], ast.var, body)
-    if isinstance(ast, fol.FEq):
-        raise UnsupportedFeature("the internal prover does not handle equality atoms")
-    return ast if positive else fol.FNot(ast)
-
-
-def _junction(op: str, left, right):
-    """`left op right` for `and` or `or`, with the truth constants folded away."""
-    absorbing, neutral = (fol.FFalse, fol.FTrue) if op == "and" else (fol.FTrue, fol.FFalse)
-    if isinstance(left, absorbing) or isinstance(right, absorbing):
-        return absorbing()
-    if isinstance(left, neutral):
-        return right
-    if isinstance(right, neutral):
-        return left
-    return fol.FBin(op, left, right)
-
-
 class _Deadline(Exception):
     """Clausification ran past the deadline."""
 
 
-class _Skolemizer:
+class _Clausifier:
+    """Clauses of FOL formulas in one walk from the AST and a polarity.
+
+    Negation moves inward by polarity, and `impl` and `iff` expand by it. A
+    universal becomes a fresh variable `U<n>` and an existential a Skolem
+    term `sk<n>` over the enclosing universals. `and` concatenates clause
+    lists and `or` takes their product, which can be exponentially large,
+    so the product raises _Deadline once the deadline has passed. The truth
+    constants fold as clause lists: true is `[]` and false is
+    `[frozenset()]`, and no other formula gives either, since every other
+    formula has clauses and each of them has literals. A part that folds to
+    a constant gives back the variable and Skolem numbers drawn inside it,
+    so the numbers run in walk order over the parts that are kept. An
+    unsupported construct raises wherever it sits, even in a part that
+    folds away."""
+
     def __init__(self, deadline: float) -> None:
         self.deadline = deadline
-        self.var_count = 0
-        self.sk_count = 0
+        self.vars = 0
+        self.skolems = 0
 
-    def formula_clauses(self, ast) -> list[frozenset[Literal]] | None:
-        """Clauses of one NNF formula, or None when it simplifies to true."""
-        ast = run(_nnf(ast, True))
-        if isinstance(ast, fol.FTrue):
-            return None
-        if isinstance(ast, fol.FFalse):
-            return [frozenset()]
-        matrix = run(self._skolemize(ast, {}, ()))
-        return run(_distribute(matrix, self.deadline))
-
-    def _fresh_var(self) -> Term:
-        self.var_count += 1
-        return ("v", f"U{self.var_count}")
-
-    def _skolem(self, universals: tuple[Term, ...]) -> Term:
-        self.sk_count += 1
-        return ("f", ("", f"sk{self.sk_count}"), universals)
-
-    def _skolemize(self, ast, env: dict[str, Term], universals: tuple[Term, ...]) -> Walk:
-        if isinstance(ast, fol.FQuant):
-            if ast.quant == "forall":
-                var = self._fresh_var()
-                env, universals = {**env, ast.var: var}, universals + (var,)
-            else:
-                env = {**env, ast.var: self._skolem(universals)}
-            return (yield self._skolemize(ast.body, env, universals))
-        if isinstance(ast, fol.FBin):
-            left = yield self._skolemize(ast.left, env, universals)
-            return fol.FBin(ast.op, left, (yield self._skolemize(ast.right, env, universals)))
-        if isinstance(ast, fol.FNot):
-            sign, pred, args = yield self._skolemize(ast.body, env, universals)
-            return (not sign, pred, args)
+    def walk(self, ast, positive: bool, env: dict[str, Term], universals: tuple[Term, ...]) -> Walk:
+        while isinstance(ast, fol.FNot):
+            ast, positive = ast.body, not positive
         if isinstance(ast, fol.FAtom):
-            args = tuple(self._term(a, env) for a in ast.args)
-            return (True, (ast.origin, ast.name, len(ast.args)), args)
+            args = tuple(_term(a, env) for a in ast.args)
+            return [frozenset([(positive, (ast.origin, ast.name, len(args)), args)])]
         if isinstance(ast, (fol.FTrue, fol.FFalse)):
-            # embedded constants survive only in degenerate inputs
-            key = ("", "$true" if isinstance(ast, fol.FTrue) else "$false", 0)
-            return (isinstance(ast, fol.FTrue), key, ())
-        raise UnsupportedFeature(f"cannot clausify {type(ast).__name__}")
-
-    def _term(self, t, env: dict[str, Term]) -> Term:
-        if isinstance(t, fol.FVar):
-            bound = env.get(t.name)
-            if bound is None:
-                raise UnsupportedFeature(f"unbound variable {t.name!r} in input formula")
-            return bound
-        return ("f", (t.origin, t.name), ())
-
-
-def _distribute(matrix, deadline: float) -> Walk:
-    """CNF of a skolemized NNF matrix (and/or tree over literal tuples).
-    The CNF can be exponentially large, so this raises _Deadline once the
-    deadline has passed."""
-    if isinstance(matrix, tuple):  # a literal
-        return [frozenset([matrix])]
-    if isinstance(matrix, fol.FBin) and matrix.op == "and":
-        lefts = yield _distribute(matrix.left, deadline)
-        return lefts + (yield _distribute(matrix.right, deadline))
-    if isinstance(matrix, fol.FBin) and matrix.op == "or":
-        lefts = yield _distribute(matrix.left, deadline)
-        rights = yield _distribute(matrix.right, deadline)
-        out = []
-        for left in lefts:
-            for right in rights:
-                if time.monotonic() > deadline:
-                    raise _Deadline
-                out.append(left | right)
+            return [] if isinstance(ast, fol.FTrue) == positive else [frozenset()]
+        if isinstance(ast, fol.FEq):
+            raise UnsupportedFeature("the internal prover does not handle equality atoms")
+        mark = self.vars, self.skolems
+        if isinstance(ast, fol.FQuant):
+            if (ast.quant == "forall") == positive:
+                self.vars += 1
+                term = ("v", f"U{self.vars}")
+                universals += (term,)
+            else:
+                self.skolems += 1
+                term = ("f", ("", f"sk{self.skolems}"), universals)
+            out = yield self.walk(ast.body, positive, {**env, ast.var: term}, universals)
+        elif isinstance(ast, fol.FBin):
+            op, left, right, left_positive = ast.op, ast.left, ast.right, positive
+            if op == "iff":  # (~l | r) & (l | ~r), each half folding on its own
+                op, left, right = (
+                    "and",
+                    fol.FBin("or", fol.FNot(left), right),
+                    fol.FBin("or", left, fol.FNot(right)),
+                )
+            elif op == "impl":  # ~l | r
+                op, left_positive = "or", not positive
+            lefts = yield self.walk(left, left_positive, env, universals)
+            rights = yield self.walk(right, positive, env, universals)
+            if (op == "and") == positive:  # a conjunction in this polarity
+                out = [frozenset()] if [frozenset()] in (lefts, rights) else lefts + rights
+            else:
+                out = []
+                for a in lefts:
+                    for b in rights:
+                        if time.monotonic() > self.deadline:
+                            raise _Deadline
+                        out.append(a | b)
+        else:
+            raise UnsupportedFeature(f"cannot clausify {type(ast).__name__}")
+        if not out or not out[0]:  # folded to a constant
+            self.vars, self.skolems = mark
         return out
-    raise UnsupportedFeature(f"cannot distribute {type(matrix).__name__}")
+
+
+def _term(t, env: dict[str, Term]) -> Term:
+    if isinstance(t, fol.FVar):
+        bound = env.get(t.name)
+        if bound is None:
+            raise UnsupportedFeature(f"unbound variable {t.name!r} in input formula")
+        return bound
+    return ("f", (t.origin, t.name), ())
 
 
 def _canonical(lits: Iterable[Literal]) -> tuple[Literal, ...] | None:
     """Sort literals and rename variables by first occurrence; None for
-    tautologies (including clauses satisfied by a truth constant)."""
+    tautologies."""
     lit_set = set(lits)
     for sign, pred, args in lit_set:
         if (not sign, pred, args) in lit_set:
             return None
-        if sign and pred[1] == "$true":
-            return None
-        if not sign and pred[1] == "$false":
-            return None
-    lits = [l for l in sorted(lit_set) if l[1][1] not in ("$true", "$false")]
+    lits = sorted(lit_set)
     rename: dict[str, str] = {}
 
     def walk(t: Term) -> Term:
@@ -342,8 +291,8 @@ class _Saturation:
         self.next_id = 0
         self.processed: list[Clause] = []
         self.queued = 0
-        # queued clauses, with lazy deletion: a heap by (weight, age), and a
-        # FIFO by age, since clauses are queued in the order they are made
+        # queued clauses, with lazy deletion: a heap by (weight, id), and a
+        # FIFO by id, since clauses are queued in the order they are made
         self.by_weight: list[tuple[int, int, Clause]] = []
         self.by_age: deque[Clause] = deque()
         self.picks = 0
@@ -358,7 +307,7 @@ class _Saturation:
         canonical = _canonical(lits)
         if canonical is None:
             return None
-        clause = Clause(self.next_id, canonical, parents, label, self.next_id)
+        clause = Clause(self.next_id, canonical, parents, label)
         self.next_id += 1
         return clause
 
@@ -413,7 +362,7 @@ class _Saturation:
         self.clauses[clause.id] = clause
         sign, pred, _ = clause.lits[0]
         self.by_first.setdefault((sign, pred), []).append(clause)
-        heapq.heappush(self.by_weight, (clause.weight, clause.age, clause))
+        heapq.heappush(self.by_weight, (clause.weight, clause.id, clause))
         self.by_age.append(clause)
         self.queued += 1
         return None
@@ -429,7 +378,7 @@ class _Saturation:
         return self.shared.setdefault(lit, lit)
 
     def pick(self) -> Clause:
-        """The queued clause of least (weight, age), or every fifth pick the
+        """The queued clause of least (weight, id), or every fifth pick the
         oldest one."""
         self.picks += 1
         by_age = self.picks % _AGE_PICK_EVERY == 0
@@ -515,12 +464,14 @@ def _input_clauses(
 ) -> list[Clause]:
     """Clauses of the axioms and of the negated conjecture, labelled for
     refutation tracing. Raises _Deadline once the deadline has passed."""
-    sk = _Skolemizer(sat.deadline)
-    formulas = [(axiom.ast, axiom.label or f"axiom_{i}") for i, axiom in enumerate(axioms, 1)]
-    formulas.append((fol.FNot(conjecture.ast), None))
+    clausifier = _Clausifier(sat.deadline)
+    formulas = [
+        (axiom.ast, True, axiom.label or f"axiom_{i}") for i, axiom in enumerate(axioms, 1)
+    ]
+    formulas.append((conjecture.ast, False, None))
     initial: list[Clause] = []
-    for ast, label in formulas:
-        for lits in sk.formula_clauses(ast) or ():
+    for ast, positive, label in formulas:
+        for lits in run(clausifier.walk(ast, positive, {}, ())):
             if time.monotonic() > sat.deadline:
                 raise _Deadline
             clause = sat.add(lits, (), label)

@@ -11,6 +11,7 @@ depth (0 = run to fixpoint). Symbol-free axioms are always selected.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,8 @@ class SineParams:
     generality_threshold: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.tolerance):
+            raise ValueError("tolerance must be finite")
         if self.tolerance < 1:
             raise ValueError("tolerance must be >= 1")
         if self.depth < 0:

@@ -138,6 +138,7 @@ class TestAnalyze:
             ("Propositional", "{ p and }", "4:21"),
             ("Propositional", "{ p\n  q and }", "5:8"),  # later lines start at column 1
             ("TPTP", "{ fof(a, axiom, p &). }", "4:33"),
+            ("TPTP", "{ fof(a, axiom, p).\n  fof(b, axiom, q).\n  fof(a, axiom, r). }", "6:7"),
             ("OWL", "{ Class: A SubClassOf: }", "4:37"),
             ("OWL", "{ Class: x:A }", "4:23"),
         ],
@@ -410,6 +411,11 @@ class TestExitCodeContract:
                 2,
             ),
             (["--repo", REPO, "prove", FAMILY, "--axioms", "a", "--sine", "1,0,0"], 64),
+            (["--repo", REPO, "prove", FAMILY, "--timeout", "0"], 64),
+            (["--repo", REPO, "prove", FAMILY, "--timeout", "-5"], 64),
+            (["--repo", REPO, "prove", FAMILY, "--workers", "-1"], 64),
+            (["--repo", REPO, "prove", FAMILY, "--sine", "nan,0,0"], 64),
+            (["--repo", REPO, "prove", FAMILY, "--sine", "inf,0,0"], 64),
             (["--repo", REPO, "graph", FAMILY, "--format", "json"], 0),
             (["logics", "--category", "Logic"], 0),
         ]

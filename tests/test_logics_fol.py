@@ -183,8 +183,9 @@ class TestParsing:
             parse_fof_document("fof(x, plain, p).")
 
     def test_duplicate_names_rejected_in_theories(self):
-        with pytest.raises(ParseError):
-            FolLogic().parse_theory("fof(a, axiom, p).\nfof(a, axiom, q).", "t")
+        with pytest.raises(ParseError) as info:
+            FolLogic().parse_theory("fof(a, axiom, p).\n  fof(a, axiom, q).", "t")
+        assert (info.value.line, info.value.col) == (2, 7)
 
     def test_comments_ignored(self):
         [(name, _, _)] = parse_fof_document("% header\nfof(a, axiom, p). % tail\n")

@@ -10,10 +10,17 @@ from hypothesis import given, settings, strategies as st
 from dolkit.errors import UnsupportedFeature
 from dolkit.kernel import Sentence, run
 from dolkit.logics import parse_fof_formula
-from dolkit.logics.fol import FAtom, FBin, FFalse, FNot, FTrue
+from dolkit.logics.fol import FAtom, FBin, FFalse, FNot, FTrue, FVar
 from dolkit.mappings import get_mapping, translate_theory
 from dolkit.prove import GRACE_SECONDS, prove_fol_internal
-from dolkit.prove.fol_prover import DEFAULT_CLAUSE_CAP, _apply_lits, _nnf, _Saturation, _subsumes
+from dolkit.prove.fol_prover import (
+    DEFAULT_CLAUSE_CAP,
+    _apply_lits,
+    _Clausifier,
+    _input_clauses,
+    _Saturation,
+    _subsumes,
+)
 from dolkit.prove.status import ProofStatus
 
 from conftest import tt_entails
@@ -61,9 +68,18 @@ def test_saturation_gives_countersatisfiable():
 
 
 def test_equality_is_unsupported():
-    eq = Sentence("FOL", parse_fof_formula("a = b", allow_equality=True))
-    with pytest.raises(UnsupportedFeature):
-        prove_fol_internal([eq], F("p"), 5)
+    # also inside a part that folds to a constant
+    for text in ("a = b", "$true | a = b", "(a = b & $false) => p"):
+        eq = Sentence("FOL", parse_fof_formula(text, allow_equality=True))
+        with pytest.raises(UnsupportedFeature):
+            prove_fol_internal([eq], F("p"), 5)
+
+
+def test_free_variable_is_unsupported_even_where_it_folds_away():
+    # the parser rejects free variables; a caller can still build one
+    free = Sentence("FOL", FBin("or", FTrue(), FAtom("", "p", (FVar("X"),))))
+    with pytest.raises(UnsupportedFeature, match="unbound variable 'X'"):
+        prove_fol_internal([free], F("q"), 5)
 
 
 def test_hard_instance_times_out_within_grace():
@@ -102,9 +118,10 @@ def test_forall_conjecture_over_single_fact_is_csa():
 
 
 def test_iff_chain_clausification_times_out_within_grace():
-    # a left-nested iff chain has an exponentially large CNF
+    # a left-nested iff chain has an exponentially large CNF; at 6 atoms it
+    # can finish (CSA) inside the second, at 8 it cannot
     text = "a0"
-    for i in range(1, 6):
+    for i in range(1, 8):
         text = f"({text} <=> a{i})"
     start = time.monotonic()
     attempt = prove_fol_internal([], F(text), 1)
@@ -267,20 +284,59 @@ _QUANTIFIER_FREE = st.recursive(
 )
 
 
+def _fold(ast) -> bool | None:
+    """The truth constant `ast` folds to, or None: a connective folds when an
+    operand is absorbing or when its operands fold."""
+    if isinstance(ast, (FTrue, FFalse)):
+        return isinstance(ast, FTrue)
+    if isinstance(ast, FNot):
+        body = _fold(ast.body)
+        return None if body is None else not body
+    if not isinstance(ast, FBin):
+        return None
+    left, right = _fold(ast.left), _fold(ast.right)
+    if ast.op == "iff":
+        return None if None in (left, right) else left == right
+    if ast.op == "impl":
+        left = None if left is None else not left
+    absorbing = ast.op == "or" or ast.op == "impl"  # True absorbs a disjunction
+    if absorbing in (left, right):
+        return absorbing
+    return None if None in (left, right) else not absorbing
+
+
 @settings(max_examples=400, deadline=None)
 @given(_QUANTIFIER_FREE, st.booleans())
-def test_one_pass_nnf_against_the_truth_table(ast, positive):
-    out = run(_nnf(ast, positive))
-    nodes, todo = [], [out]
-    while todo:
-        nodes.append(todo.pop())
-        if isinstance(nodes[-1], FBin):
-            todo += (nodes[-1].left, nodes[-1].right)
-    assert all(n.op in ("and", "or") for n in nodes if isinstance(n, FBin))
-    assert all(isinstance(n.body, FAtom) for n in nodes if isinstance(n, FNot))
-    constants = [n for n in nodes if isinstance(n, (FTrue, FFalse))]
-    assert not constants or nodes == constants  # only a whole result is a constant
+def test_one_pass_clauses_against_the_truth_table(ast, positive):
+    clauses = run(_Clausifier(time.monotonic() + 600).walk(ast, positive, {}, ()))
+    assert all(not pred[1].startswith("$") for c in clauses for _, pred, _ in c)
+    folded = _fold(ast if positive else FNot(ast))
+    assert (clauses == []) == (folded is True)
+    assert (clauses == [frozenset()]) == (folded is False)
+    cnf = FTrue()
+    for clause in clauses:
+        disjunction = FFalse()
+        for sign, (origin, name, _), _ in clause:
+            lit = FAtom(origin, name)
+            disjunction = FBin("or", disjunction, lit if sign else FNot(lit))
+        cnf = FBin("and", cnf, disjunction)
     to_prop = get_mapping("fol2prop").map_sentence
     target = to_prop(Sentence("FOL", ast if positive else FNot(ast))).ast
-    image = to_prop(Sentence("FOL", out)).ast
+    image = to_prop(Sentence("FOL", cnf)).ast
     assert tt_entails([image], target) and tt_entails([target], image)
+
+
+def test_folded_parts_give_back_their_numbers():
+    # each folded quantifier drew a Skolem number; kept, they would make r(sk3)
+    axioms = [
+        F("(?[Y]: q(Y)) | $true", "folds"),
+        F("(![Y]: q(Y)) <=> $true", "half_folds"),
+        F("?[Z]: r(Z)", "kept"),
+    ]
+    sat = _Saturation(time.monotonic() + 600, DEFAULT_CLAUSE_CAP)
+    clauses = _input_clauses(sat, axioms, F("s"))
+    assert [(c.lits, c.label) for c in clauses] == [
+        (((True, ("", "q", 1), (("v", "X0"),)),), "half_folds"),
+        (((True, ("", "r", 1), (("f", ("", "sk1"), ()),)),), "kept"),
+        (((False, ("", "s", 0), ()),), None),
+    ]
