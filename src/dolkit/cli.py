@@ -12,7 +12,6 @@ import json
 import os
 import shlex
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -21,16 +20,6 @@ from .dolparse import Combine, DolDocument, OntologyDef, RepoConfig, parse_docum
 from .errors import DolkitError, NestingTooDeep, NotACombine
 from .kernel import get_logic
 from .mappings import CATEGORIES, registry_lines
-from .prove import (
-    BUILTIN_PROVERS,
-    AttemptConfig,
-    ManualAxioms,
-    ProverKind,
-    ProverSpec,
-    attempt_to_dict,
-    prove_all,
-)
-from .select import SineParams
 from .structure import (
     Env,
     combine_details,
@@ -165,7 +154,16 @@ def cmd_analyze(repo_path: str | None, file: str) -> int:
     return 0
 
 
-def _parse_prover(value: str) -> ProverSpec:
+def prove_all(obligations, config):
+    """`orchestrate.prove_all`, whose prover stack only `prove` loads."""
+    from .prove.orchestrate import prove_all
+
+    return prove_all(obligations, config)
+
+
+def _parse_prover(value: str):
+    from .prove import BUILTIN_PROVERS, ProverKind, ProverSpec
+
     if value in BUILTIN_PROVERS:
         return BUILTIN_PROVERS[value]
     if "=" in value:
@@ -211,6 +209,9 @@ def cmd_prove(
     keep_temp: bool,
     workers: int | None,
 ) -> int:
+    from .prove import AttemptConfig, ManualAxioms, attempt_to_dict
+    from .select import SineParams
+
     if axioms is not None and sine is not None:
         raise click.UsageError("--axioms and --sine are mutually exclusive")
     selection = None
@@ -230,8 +231,12 @@ def cmd_prove(
         if missing:
             raise DolkitError(f"no such theorem(s): {', '.join(missing)}")
         obligations = [by_name[n] for n in theorems]
+    if not obligations:
+        _echo(f"no obligations in {file}", err=True)
     temp_dir = None
     if keep_temp:
+        import tempfile
+
         temp_dir = tempfile.mkdtemp(prefix="dolkit_")
         _echo(f"TPTP files kept under {temp_dir}", err=True)
     config = AttemptConfig(

@@ -37,6 +37,7 @@ from .errors import (
     UnknownLogic,
     UnresolvedIri,
 )
+from .kernel import node
 from .logics._scan import Tok, TokenCursor, expand_name, scan
 from .mappings import EXTENSION_LOGICS, logic_for_language
 
@@ -74,7 +75,7 @@ def _basic_end(text: str, start: int, line: int, col: int) -> int:
 # -- document AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Ref:
     """An ontology reference: a local definition name (iri is None) or a
     resolved IRI with its written form kept for display."""
@@ -87,7 +88,7 @@ class Ref:
         return self.written
 
 
-@dataclass(frozen=True)
+@node
 class Basic:
     logic_id: str
     text: str
@@ -105,18 +106,18 @@ class Basic:
         return hash((self.logic_id, self.text))
 
 
-@dataclass(frozen=True)
+@node
 class And:
     operands: tuple["OntologyExpr", ...]
 
 
-@dataclass(frozen=True)
+@node
 class Then:
     base: "OntologyExpr"
     extension: Basic
 
 
-@dataclass(frozen=True)
+@node
 class Combine:
     alignments: tuple[str, ...]
 
@@ -124,13 +125,13 @@ class Combine:
 OntologyExpr = Union[Ref, Basic, And, Then, Combine]
 
 
-@dataclass(frozen=True)
+@node
 class LogicDecl:
     written: str
     logic_id: str
 
 
-@dataclass(frozen=True)
+@node
 class OntologyDef:
     name: str
     expr: OntologyExpr
@@ -141,7 +142,7 @@ class Relation(Enum):
     LEFT_SUBSUMED = "<"
 
 
-@dataclass(frozen=True)
+@node
 class CorrName:
     """A correspondence operand: origin is None for unprefixed names (they
     resolve against their side's theory), or the expanded prefix IRI."""
@@ -154,14 +155,14 @@ class CorrName:
         return self.name if self.origin is None else f"{self.origin}{self.name}"
 
 
-@dataclass(frozen=True)
+@node
 class Correspondence:
     left: CorrName
     right: CorrName
     relation: Relation
 
 
-@dataclass(frozen=True)
+@node
 class AlignmentDef:
     name: str
     left: OntologyExpr
@@ -172,7 +173,7 @@ class AlignmentDef:
 DocItem = Union[LogicDecl, OntologyDef, AlignmentDef]
 
 
-@dataclass(frozen=True)
+@node
 class DolDocument:
     prefixes: tuple[tuple[str, str], ...]
     items: tuple[DocItem, ...]

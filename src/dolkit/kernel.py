@@ -9,7 +9,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from types import GeneratorType
@@ -179,6 +179,27 @@ class Theory:
         return tuple(s for s in self.sentences if s.role is Role.CONJECTURE)
 
 
+def node(cls: type) -> type:
+    """An immutable AST node class built from `cls`: a named tuple over its
+    annotated fields, with their defaults, that keeps the body's methods.
+    Equality and hashing are structural, but nodes of different types never
+    compare equal, and a node without fields is still true."""
+    fields = vars(cls).get("__annotations__", {})
+    body = {k: v for k, v in vars(cls).items() if k not in (*fields, "__dict__", "__weakref__")}
+    defaults = [vars(cls)[f] for f in fields if f in vars(cls)]
+    base = namedtuple(cls.__name__, fields, defaults=defaults, module=cls.__module__)
+    return type(cls.__name__, (base,), {**_NODE_METHODS, **body})
+
+
+_NODE_METHODS = {
+    "__slots__": (),
+    "__eq__": lambda self, other, _eq=tuple.__eq__: type(self) is type(other) and _eq(self, other),
+    "__ne__": lambda self, other: not self == other,  # tuple's own ignores the type
+    "__hash__": tuple.__hash__,
+    "__bool__": lambda self: True,  # even with no fields
+}
+
+
 Walk = Generator[Any, Any, Any]
 
 
@@ -212,7 +233,7 @@ def fresh_name(base: str, is_taken: Callable[[str], bool]) -> str:
 class Logic:
     """Interface each concrete logic implements and registers.
 
-    ASTs are frozen dataclasses whose fields are strings, AST nodes or tuples
+    ASTs are `node` classes whose fields are strings, AST nodes or tuples
     of them. `name_nodes` maps each node type that names a symbol to its
     kind; such a node has `origin` and `name` fields, and its arity is the
     length of its `args` field (0 without one). `symbols_of` and
@@ -294,9 +315,9 @@ def _layout(kinds: Mapping[type, Kind], node_type: type) -> _Layout:
     it names none), its fields annotated `str`, the fields they descend into
     (every other field), and whether the symbol's arity is the length of its
     `args`. A node type belongs to one logic, so the answer is cached by type."""
-    fields = dataclasses.fields(node_type)
-    names = tuple(f.name for f in fields if f.type in ("str", str))
-    keys = tuple(f.name for f in fields if f.type not in ("str", str))
+    fields = node_type.__annotations__.items()
+    names = tuple(name for name, t in fields if t in ("str", str))
+    keys = tuple(name for name, t in fields if t not in ("str", str))
     layout = _LAYOUTS[node_type] = (kinds.get(node_type), names, keys, "args" in keys)
     return layout
 

@@ -9,12 +9,11 @@ equational input if a caller constructs it deliberately.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Mapping, Union
 
 from ..errors import ParseError, UnknownConstruct
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, node, run, symbols_of
 from ._scan import TokenCursor, climb, scan
 
 Term = Union["FVar", "FConst"]
@@ -23,53 +22,53 @@ FolAst = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class FVar:
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class FConst:
     origin: str
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class FTrue:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class FFalse:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class FAtom:
     origin: str
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@node
 class FEq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@node
 class FNot:
     body: FolAst
 
 
-@dataclass(frozen=True)
+@node
 class FBin:
     op: str  # "and" | "or" | "impl" | "iff"
     left: FolAst
     right: FolAst
 
 
-@dataclass(frozen=True)
+@node
 class FQuant:
     quant: str  # "forall" | "exists"
     var: str

@@ -22,34 +22,34 @@ from functools import partial
 from typing import Any, Mapping, Union
 
 from ..errors import ParseError
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, run, symbols_of
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, node, run, symbols_of
 from ._scan import Tok, TokenCursor, climb, expand_name, scan
 
 PropAst = Union["PTrue", "PFalse", "PVar", "PNot", "PBin"]
 
 
-@dataclass(frozen=True)
+@node
 class PTrue:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class PFalse:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class PVar:
     origin: str
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class PNot:
     body: PropAst
 
 
-@dataclass(frozen=True)
+@node
 class PBin:
     op: str  # "and" | "or" | "impl" | "iff"
     left: PropAst

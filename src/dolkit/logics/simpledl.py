@@ -16,12 +16,11 @@ outside this subset raises UnknownConstruct rather than a plain syntax error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping, Union
 
-from ..errors import DolkitError, UnknownConstruct
-from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, Walk, run, symbols_of
+from ..errors import DolkitError, ParseError, UnknownConstruct
+from ..kernel import Kind, Logic, Role, Sentence, Signature, Symbol, Theory, Walk, node, run, symbols_of
 from ._scan import Tok, TokenCursor, climb, expand_name, scan
 
 ClassExpr = Union["ClsName", "ClsNot", "ClsAnd", "ClsOr", "ClsSome", "ClsOnly"]
@@ -37,97 +36,97 @@ DlAst = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class ClsName:
     origin: str
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class ClsNot:
     body: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class ClsAnd:
     left: ClassExpr
     right: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class ClsOr:
     left: ClassExpr
     right: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class PropName:
     origin: str
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class IndName:
     origin: str
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class ClsSome:
     prop: PropName
     filler: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class ClsOnly:
     prop: PropName
     filler: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class SubClassOf:
     sub: ClassExpr
     sup: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class EquivalentClasses:
     left: ClassExpr
     right: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class DisjointClasses:
     left: ClassExpr
     right: ClassExpr
 
 
-@dataclass(frozen=True)
+@node
 class ClassAssertion:
     cls: ClassExpr
     individual: IndName
 
 
-@dataclass(frozen=True)
+@node
 class PropertyAssertion:
     prop: PropName
     subject: IndName
     obj: IndName
 
 
-@dataclass(frozen=True)
+@node
 class SubPropertyOf:
     sub: PropName
     sup: PropName
 
 
-@dataclass(frozen=True)
+@node
 class InverseProperties:
     left: PropName
     right: PropName
 
 
-@dataclass(frozen=True)
+@node
 class TransitiveProperty:
     prop: PropName
 
@@ -202,9 +201,12 @@ class _Names:
         self.prefixes = prefixes or {}
 
     def resolve(self, tok: Tok) -> tuple[str, str]:
-        if tok.kind == "IRIREF":
-            return split_iri(tok.text[1:-1], self.prefixes)
-        return expand_name(tok, self.prefixes, self.origin)
+        if tok.kind != "IRIREF":
+            return expand_name(tok, self.prefixes, self.origin)
+        origin, local = split_iri(tok.text[1:-1], self.prefixes)
+        if not local:
+            raise ParseError(f"IRI {tok.text} has no local name", tok.line, tok.col)
+        return origin, local
 
 
 class _FrameParser:

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import os
 import re
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -58,6 +56,9 @@ def prove_external(
     keep_file: bool = False,
     problem_name: str = "problem",
 ) -> Verdict:
+    import subprocess
+    import tempfile
+
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
     fd, raw_path = tempfile.mkstemp(

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -190,5 +189,7 @@ def prove_all(
 
     if len(tasks) <= 1 or workers == 1:
         return [run(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, tasks))

@@ -152,6 +152,34 @@ class TestAnalyze:
         assert code == 1
         assert json.loads(out)["error"]["message"].startswith(position + ": ")
 
+    def _prefix_iri_document(self, tmp_path, frame: str) -> str:
+        doc = tmp_path / "prefix_iri.dol"
+        doc.write_text(
+            "%prefix( f: <https://example.org/f/> )%\nlogic OWL\n"
+            f"ontology T = {{ Class: f:Person\n  {frame} }}\n"
+        )
+        return str(doc)
+
+    def test_prefix_iri_as_frame_subject_is_a_parse_error(self, capsys, tmp_path):
+        doc = self._prefix_iri_document(tmp_path, "Individual: <https://example.org/f/>  Types: f:Person")
+        code, out, err = run(capsys, "analyze", doc)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ParseError",
+            "message": "4:15: IRI <https://example.org/f/> has no local name",
+        }
+        assert "Traceback" not in err
+
+    def test_prefix_iri_in_class_expression_is_a_parse_error(self, capsys, tmp_path):
+        doc = self._prefix_iri_document(tmp_path, "Individual: f:ann  Types: <https://example.org/f/>")
+        code, out, err = run(capsys, "analyze", doc)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ParseError",
+            "message": "4:29: IRI <https://example.org/f/> has no local name",
+        }
+        assert "Traceback" not in err
+
     def test_a_3000_conjunct_axiom_is_analyzed_and_proved(self, capsys, tmp_path):
         doc = tmp_path / "deep.dol"
         conjunction = " and ".join(f"x{i}" for i in range(3000))
@@ -283,6 +311,14 @@ class TestProve:
         assert code == 0
         [attempt] = json.loads(out)["attempts"]
         assert attempt["prover"] == "stub" and attempt["status"] == "THM"
+
+    def test_no_obligations_is_said_on_stderr(self, capsys, tmp_path):
+        doc = tmp_path / "no_cq.dol"
+        doc.write_text("logic OWL\nontology T = { Class: Person }\nontology E = T then { Class: Other }\n")
+        code, out, err = run(capsys, "prove", str(doc))
+        assert code == 0
+        assert json.loads(out) == {"attempts": []}
+        assert err == f"no obligations in {doc}\n"
 
     def test_unknown_prover_is_usage_error(self, capsys):
         code, _, err = run(capsys, "--repo", REPO, "prove", FAMILY, "--prover", "vampire")
@@ -422,6 +458,39 @@ class TestExitCodeContract:
         for argv, expected in cases:
             code, _, _ = run(capsys, *argv)
             assert code == expected, argv
+
+
+class TestStartup:
+    def test_only_prove_loads_the_prover_stack(self):
+        # a fresh interpreter; modules it loaded before dolkit (`site` may
+        # import tempfile) do not count
+        import os
+        import subprocess
+        import sys
+
+        script = f"""
+import contextlib, io, json, sys
+before = set(sys.modules)
+from dolkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["logics"]), main(["--repo", {REPO!r}, "analyze", {FAMILY!r}])]
+    loaded = sorted(set(sys.modules) - before)
+    main(["--repo", {REPO!r}, "prove", {FAMILY!r}, "--theorem", "chrisFather"])
+print(json.dumps({{"codes": codes, "loaded": loaded, "after_prove": sorted(sys.modules)}}))
+"""
+        env = {"PATH": "/usr/bin:/bin"}
+        if "PYTHONPATH" in os.environ:  # dolkit may run from a checkout
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+        result = json.loads(
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, env=env, check=True
+            ).stdout
+        )
+        prover_stack = {"dolkit.prove", "dolkit.select", "subprocess", "tempfile", "concurrent.futures"}
+        assert result["codes"] == [0, 0]
+        assert "dolkit.cli" in result["loaded"]
+        assert prover_stack.isdisjoint(result["loaded"])
+        assert {"dolkit.prove", "dolkit.select"} <= set(result["after_prove"])
 
 
 class TestInProcess:

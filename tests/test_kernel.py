@@ -1,11 +1,11 @@
 """Kernel: symbols, signatures, morphisms, theories, and the category laws."""
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dolkit.dolparse import Basic, DolDocument
 from dolkit.errors import InvalidTheory, KindClash, MismatchedEndpoints, SymbolNotInSource
 from dolkit.kernel import (
     Kind,
@@ -17,6 +17,7 @@ from dolkit.kernel import (
     Theory,
     compose,
     identity,
+    sentence_key,
     signature_union,
     symbols_of,
     translate_sentence,
@@ -161,8 +162,7 @@ def test_name_node_tables_list_exactly_the_name_nodes():
             for cls in vars(module).values()
             if isinstance(cls, type)
             and cls.__module__ == module.__name__
-            and dataclasses.is_dataclass(cls)
-            and {"origin", "name"} <= {f.name for f in dataclasses.fields(cls)}
+            and {"origin", "name"} <= set(getattr(cls, "_fields", ()))
         }
         assert named and set(logic.name_nodes) == named, module.__name__
 
@@ -224,6 +224,54 @@ class TestSymbolsOf:
     @given(_THEORIES)
     def test_one_walk_equals_the_union_of_walks(self, sentences):
         assert symbols_of(*sentences) == frozenset().union(*map(symbols_of, sentences))
+
+
+def _subnodes(ast):
+    """Every node in `ast`, found by walking the tuples that nodes are."""
+    todo = [ast]
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, str):
+            if type(item) is not tuple:
+                yield item
+            todo.extend(item)
+
+
+class TestNodes:
+    @settings(max_examples=150, deadline=None)
+    @given(_THEORIES)
+    def test_equality_and_hash_agree_with_sentence_key(self, sentences):
+        nodes = [n for s in sentences for n in _subnodes(s.ast)]
+        keys = [sentence_key(Sentence(sentences[0].logic_id, n)) for n in nodes]
+        for a, key_a in zip(nodes, keys):
+            assert a  # a node is true even without fields
+            for b, key_b in zip(nodes, keys):
+                assert (a == b) is (key_a == key_b) and (a != b) is (key_a != key_b)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_nodes_of_different_types_never_compare_equal(self):
+        p, f = simpledl.PropName("", "r"), simpledl.ClsName("", "C")
+        assert simpledl.ClsSome(p, f) != simpledl.ClsOnly(p, f)
+        assert not simpledl.ClsSome(p, f) == simpledl.ClsOnly(p, f)
+        assert fol.FTrue() != fol.FFalse() != prop.PTrue() != fol.FTrue()
+        assert len({fol.FTrue(), fol.FFalse()}) == 2
+
+    def test_nodes_without_fields_are_true(self):
+        assert all((fol.FTrue(), fol.FFalse(), prop.PTrue(), prop.PFalse()))
+
+    def test_basic_ignores_its_position(self):
+        a, b = Basic("OWL", "Class: A", 1, 2), Basic("OWL", "Class: A", 7, 9)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != Basic("OWL", "Class: B", 1, 2)
+
+    def test_nodes_refuse_assignment(self):
+        for n in (fol.FAtom("", "p"), Basic("OWL", "Class: A"), DolDocument((), ())):
+            field = n._fields[-1]
+            with pytest.raises(AttributeError):
+                setattr(n, field, getattr(n, field))
+            with pytest.raises(AttributeError):
+                n.extra = 1
 
 
 class TestSignatureUnion:

@@ -104,7 +104,7 @@ _TERMS = st.one_of(
 )
 _ATOMS = st.one_of(
     st.builds(FAtom, st.just(""), st.sampled_from(["p", "q", "likes"]), st.tuples(*[_TERMS] * 2)),
-    st.builds(FAtom, st.just(""), st.sampled_from(["p", "r"])),
+    st.builds(FAtom, st.just(""), st.sampled_from(["p", "r"]), st.just(())),
     st.builds(FEq, _TERMS, _TERMS),
     st.just(FTrue()),
     st.just(FFalse()),

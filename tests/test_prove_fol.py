@@ -272,7 +272,7 @@ def test_indexed_subsumption_matches_brute_force(stored, to_process, data):
 
 _QUANTIFIER_FREE = st.recursive(
     st.one_of(
-        st.builds(FAtom, st.just(""), st.sampled_from(["p", "q", "r"])),
+        st.builds(FAtom, st.just(""), st.sampled_from(["p", "q", "r"]), st.just(())),
         st.just(FTrue()),
         st.just(FFalse()),
     ),
