@@ -363,12 +363,18 @@ def parse_dl_frame(
 # -- printing --------------------------------------------------------------------
 
 
+# a local part the scanner reads back as one name
+_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
+
+
 def _print_name(origin: str, name: str, rev: dict[str, str]) -> str:
-    if not origin:
-        return name
-    pfx = rev.get(origin)
-    if pfx is not None:
-        return f"{pfx}:{name}"
+    """A bare name, `pfx:local`, or else the full IRI `<origin+name>`."""
+    if _LOCAL.fullmatch(name):
+        if not origin and name not in _EXPR_KEYWORDS + _UNSUPPORTED_EXPR:
+            return name
+        pfx = rev.get(origin)
+        if pfx is not None:
+            return f"{pfx}:{name}"
     return f"<{origin}{name}>"
 
 

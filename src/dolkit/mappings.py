@@ -2,9 +2,10 @@
 
 Three mappings are built in: prop2fol and dl2fol (translations into the
 first-order fragment) and fol2prop (the forgetful projection that keeps only
-nullary predicates). Mapping metadata records the translation/projection and
-plain/theoroidal dichotomies plus declared accuracy, and path search over the
-mapping graph backs heterogeneous unions.
+nullary predicates). Each maps signatures to signatures and sentences to
+sentences; none adds axioms of its own. Mapping metadata records the
+translation/projection dichotomy plus declared accuracy, and path search over
+the mapping graph backs heterogeneous unions.
 
 The registry is plain tables: the mappings by id, the ontology languages
 and the logic that reads each, the serializations and the language and file
@@ -20,13 +21,11 @@ from enum import Enum
 from .errors import LogicMismatch, NoCommonTarget, NoPath, UnknownLogic
 from .kernel import (
     Kind,
-    Role,
     Sentence,
     Signature,
     Symbol,
     Theory,
     Walk,
-    fresh_name,
     registered_logic_ids,
     run,
 )
@@ -36,11 +35,6 @@ from .logics import fol, prop, simpledl
 class Direction(Enum):
     TRANSLATION = "Translation"
     PROJECTION = "Projection"
-
-
-class Shape(Enum):
-    PLAIN = "Plain"
-    SIMPLE_THEOROIDAL = "SimpleTheoroidal"
 
 
 class Accuracy(Enum):
@@ -77,7 +71,6 @@ class MappingMeta:
     source_logic: str
     target_logic: str
     direction: Direction
-    shape: Shape
     accuracy: frozenset[Accuracy] = frozenset()
 
     def __post_init__(self) -> None:
@@ -85,74 +78,39 @@ class MappingMeta:
 
 
 class LogicMapping:
-    """A mapping between logics: a signature-to-theory map plus a partial
-    sentence map (total for translations, possibly undefined for projections)."""
+    """A mapping between logics: a signature map plus a partial sentence map
+    (total for translations, possibly undefined for projections)."""
 
     meta: MappingMeta
 
-    def map_signature(self, sig: Signature) -> Theory:
+    def map_signature(self, sig: Signature) -> Signature:
         raise NotImplementedError
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
         raise NotImplementedError
 
 
-def compose_meta(first: MappingMeta, second: MappingMeta) -> MappingMeta:
-    """Metadata of a mapping composition: accuracy intersects, projection and
-    theoroidal shape are contagious."""
-    if first.target_logic != second.source_logic:
-        raise LogicMismatch(
-            f"cannot compose {first.id} ({first.target_logic}) with "
-            f"{second.id} ({second.source_logic})"
-        )
-    direction = (
-        Direction.PROJECTION
-        if Direction.PROJECTION in (first.direction, second.direction)
-        else Direction.TRANSLATION
-    )
-    shape = (
-        Shape.SIMPLE_THEOROIDAL
-        if Shape.SIMPLE_THEOROIDAL in (first.shape, second.shape)
-        else Shape.PLAIN
-    )
-    return MappingMeta(
-        f"{first.id};{second.id}",
-        first.source_logic,
-        second.target_logic,
-        direction,
-        shape,
-        first.accuracy & second.accuracy,
-    )
-
-
 def translate_theory(m: LogicMapping, t: Theory) -> tuple[Theory, list[Sentence]]:
     """Translate a theory along a mapping.
 
-    Returns the translated theory (infrastructure axioms first, then the
-    defined sentence images in order) and the list of dropped sentences
-    (empty for translations).
+    Returns the translated theory (the defined sentence images in order, each
+    under its source label) and the list of dropped sentences (empty for
+    translations).
     """
     if t.logic_id != m.meta.source_logic:
         raise LogicMismatch(
             f"theory {t.name!r} is in {t.logic_id}, mapping {m.meta.id} expects "
             f"{m.meta.source_logic}"
         )
-    infra = m.map_signature(t.signature)
-    sentences: list[Sentence] = list(infra.sentences)
+    images: list[Sentence] = []
     dropped: list[Sentence] = []
-    used_labels = {s.label for s in sentences if s.label is not None}
     for s in t.sentences:
         image = m.map_sentence(s)
         if image is None:
             dropped.append(s)
-            continue
-        if image.label is not None:
-            label = fresh_name(image.label, used_labels.__contains__)
-            if label != image.label:
-                image = image.with_label(label)
-            used_labels.add(label)
-        sentences.append(image)
-    return Theory(t.name, infra.signature, tuple(sentences)), dropped
+        else:
+            images.append(image)
+    return Theory(t.name, m.map_signature(t.signature), tuple(images)), dropped
 
 
 def translate_along(path: list["LogicMapping"], t: Theory) -> tuple[Theory, list[Sentence]]:
@@ -166,10 +124,6 @@ def translate_along(path: list["LogicMapping"], t: Theory) -> tuple[Theory, list
 
 
 # -- prop2fol --------------------------------------------------------------------
-
-
-def _prop_symbol_image(sym: Symbol) -> Symbol:
-    return Symbol(sym.origin, sym.name, Kind.PREDICATE, 0)
 
 
 def _prop2fol_ast(ast) -> Walk:
@@ -192,13 +146,13 @@ class Prop2Fol(LogicMapping):
         "Prop",
         "FOL",
         Direction.TRANSLATION,
-        Shape.PLAIN,
         frozenset({Accuracy.SUBLOGIC, Accuracy.EMBEDDING, Accuracy.FAITHFUL}),
     )
 
-    def map_signature(self, sig: Signature) -> Theory:
-        symbols = frozenset(_prop_symbol_image(s) for s in sig.symbols)
-        return Theory("", Signature("FOL", symbols), ())
+    def map_signature(self, sig: Signature) -> Signature:
+        return Signature(
+            "FOL", frozenset(Symbol(s.origin, s.name, Kind.PREDICATE, 0) for s in sig.symbols)
+        )
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
         return Sentence(
@@ -207,9 +161,6 @@ class Prop2Fol(LogicMapping):
 
 
 # -- dl2fol ----------------------------------------------------------------------
-
-NEQ = Symbol("", "neq", Kind.PREDICATE, 2)
-
 
 def _dl_symbol_image(sym: Symbol) -> Symbol:
     if sym.kind is Kind.CLASS:
@@ -325,41 +276,20 @@ def _dl2fol_ast(ast) -> Walk:
 
 
 class Dl2Fol(LogicMapping):
-    """The standard translation, plus unique-name infrastructure: a generated
-    binary predicate `neq` with a ground fact per ordered pair of distinct
-    individuals (first-order here is equality-free, so rules needing
-    inequality consume these facts)."""
+    """The standard translation: classes become unary predicates, properties
+    binary ones, and individuals constants. Like OWL, it makes no unique-name
+    assumption."""
 
     meta = MappingMeta(
         "dl2fol",
         "SimpleDL",
         "FOL",
         Direction.TRANSLATION,
-        Shape.SIMPLE_THEOROIDAL,
         frozenset({Accuracy.EMBEDDING, Accuracy.FAITHFUL}),
     )
 
-    def map_signature(self, sig: Signature) -> Theory:
-        symbols = {_dl_symbol_image(s) for s in sig.symbols}
-        individuals = sorted(
-            (s for s in sig.symbols if s.kind is Kind.INDIVIDUAL), key=Symbol.sort_key
-        )
-        sentences: list[Sentence] = []
-        if len(individuals) >= 2:
-            symbols.add(NEQ)
-            k = 0
-            for i in individuals:
-                for j in individuals:
-                    if i == j:
-                        continue
-                    k += 1
-                    atom = fol.FAtom(
-                        NEQ.origin,
-                        NEQ.name,
-                        (fol.FConst(i.origin, i.name), fol.FConst(j.origin, j.name)),
-                    )
-                    sentences.append(Sentence("FOL", atom, f"neq_{k}", Role.AXIOM))
-        return Theory("", Signature("FOL", frozenset(symbols)), tuple(sentences))
+    def map_signature(self, sig: Signature) -> Signature:
+        return Signature("FOL", frozenset(_dl_symbol_image(s) for s in sig.symbols))
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
         return Sentence("FOL", run(_dl2fol_ast(sentence.ast)), sentence.label, sentence.role)
@@ -392,17 +322,15 @@ def _fol2prop_ast(ast) -> Walk:
 
 
 class Fol2Prop(LogicMapping):
-    meta = MappingMeta(
-        "fol2prop", "FOL", "Prop", Direction.PROJECTION, Shape.PLAIN, frozenset()
-    )
+    meta = MappingMeta("fol2prop", "FOL", "Prop", Direction.PROJECTION, frozenset())
 
-    def map_signature(self, sig: Signature) -> Theory:
+    def map_signature(self, sig: Signature) -> Signature:
         symbols = frozenset(
             Symbol(s.origin, s.name, Kind.PROP_VAR, 0)
             for s in sig.symbols
             if s.kind is Kind.PREDICATE and s.arity == 0
         )
-        return Theory("", Signature("Prop", symbols), ())
+        return Signature("Prop", symbols)
 
     def map_sentence(self, sentence: Sentence) -> Sentence | None:
         image = run(_fol2prop_ast(sentence.ast))
@@ -447,7 +375,7 @@ def registry_lines(category: str) -> list[str]:
         ]
     lines = []
     for m in (_MAPPINGS[mid].meta for mid in sorted(_MAPPINGS)):
-        flags = ",".join([m.direction.value, m.shape.value, *sorted(a.value for a in m.accuracy)])
+        flags = ",".join([m.direction.value, *sorted(a.value for a in m.accuracy)])
         lines.append(f"{category} {m.id} {m.source_logic}->{m.target_logic} {flags}")
     return lines
 

@@ -81,7 +81,7 @@ def _translated_problem(
     theory: Theory, selection: Selection, conjecture: Sentence, target_logic: str
 ) -> tuple[list[Sentence], Sentence]:
     """Selected axioms plus the conjecture, carried into the prover's logic
-    along faithful translations (infrastructure axioms ride along)."""
+    along faithful translations; each axiom keeps its label."""
     if theory.logic_id == target_logic:
         return list(selection.chosen), conjecture
     path = find_path(
@@ -119,14 +119,10 @@ def run_attempt(
     """One attempt; its wall time spans translation and proof, and an error
     on the way becomes an ERR attempt."""
     start = time.monotonic()
-    provided = selection.labels
     try:
         axioms, conjecture = _translated_problem(
             obligation.theory, selection, obligation.conjecture, _TARGET_LOGIC[prover.kind]
         )
-        # snapshot what the prover actually receives (translation may add
-        # infrastructure axioms on top of the selection)
-        provided = tuple(a.label or "" for a in axioms)
         # the provers are module attributes looked up per call, so that a
         # caller may rebind them (the benchmark's tracer does)
         if prover.kind is ProverKind.INTERNAL_PROP:
@@ -154,7 +150,7 @@ def run_attempt(
         output=verdict.output,
         used_axioms=verdict.used_axioms,
         timeout_seconds=config.timeout_seconds,
-        provided_axioms=provided,
+        provided_axioms=selection.labels,
         selection=selection,
     )
 

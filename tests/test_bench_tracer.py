@@ -2,9 +2,10 @@
 
 It rebinds `run_attempt` and the internal provers as attributes of
 `dolkit.prove.orchestrate` and reads the status, the processed-clause count
-and the infrastructure-axiom count from what they return; a change that
-hides a call from it, or changes what it reads, empties its per-layer
-metrics without failing the benchmark itself.
+and the infrastructure-axiom count (axioms provided beyond the selection,
+now 0 for every mapping) from what they return; a change that hides a call
+from it, or changes what it reads, empties its per-layer metrics without
+failing the benchmark itself.
 """
 
 import importlib.util
@@ -47,9 +48,9 @@ def test_fol_spans(tracer_module, family_doc, family_env):
     [run] = spans["prove.run_attempt"]
     [fol] = spans["prove.fol"]
     assert fol.parent == run.id
-    assert fol.info == {"status": "THM", "processed": 51}
+    assert fol.info == {"status": "THM", "processed": 38}
     infra = len(attempt.provided_axioms) - len(attempt.selection.chosen)
-    assert infra > 0 and run.info == {"infra": infra}
+    assert infra == 0 and run.info == {"infra": infra}
     assert "prove.prop" not in spans
 
 

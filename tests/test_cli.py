@@ -312,6 +312,27 @@ class TestProve:
         [attempt] = json.loads(out)["attempts"]
         assert attempt["prover"] == "stub" and attempt["status"] == "THM"
 
+    def test_a_tptp_neq_predicate_is_not_captured_by_dl2fol(self, capsys, tmp_path):
+        # OWL makes no unique-name assumption, so dl2fol adds no facts over
+        # the scenario's individuals that a user's own `neq` could read
+        doc = tmp_path / "neq.dol"
+        doc.write_text(
+            "logic OWL\n"
+            "ontology scenario = <https://example.org/family/scenario>\n"
+            "logic TPTP\n"
+            "ontology R = { fof(u, axiom, ![X,Y]: ~neq(X,Y)). fof(p, axiom, q). }\n"
+            "ontology B = scenario and R\n"
+            "ontology Q = B then { fof(c, conjecture, ~q). }\n"
+        )
+        code, out, _ = run(capsys, "--repo", REPO, "prove", str(doc))
+        assert code == 2
+        [attempt] = json.loads(out)["attempts"]
+        assert attempt["status"] == "CSA"
+        assert attempt["used_axioms"] is None
+        assert attempt["config"]["provided_axioms"] == [
+            *(f"scenario_{i}" for i in range(1, 8)), "u", "p",
+        ]
+
     def test_no_obligations_is_said_on_stderr(self, capsys, tmp_path):
         doc = tmp_path / "no_cq.dol"
         doc.write_text("logic OWL\nontology T = { Class: Person }\nontology E = T then { Class: Other }\n")

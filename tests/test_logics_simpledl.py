@@ -186,10 +186,20 @@ def test_round_trip_on_generated_sentences():
 _DL_PREFIXES = {"f": "http://f.org/"}
 # bare, compacted to `f:`, and printed as a full IRI
 _ORIGINS = st.sampled_from(["", "http://f.org/", "http://g.org#"])
+_LOCALS = st.sampled_from(["A", "Person", "has_part", "x1"])
+# names that neither a bare name nor `f:local` reads back, so they print as
+# full IRIs; each is what parsing such an IRI gives
+_IRI_ONLY = st.one_of(
+    st.tuples(st.just("http://f.org/"), st.sampled_from(["#", "a#b", "x/y"])),
+    st.tuples(st.just(""), st.sampled_from(["#", "not", "some", "min"])),
+)
 
 
 def _named(node_type):
-    return st.builds(node_type, _ORIGINS, st.sampled_from(["A", "Person", "has_part", "x1"]))
+    return st.one_of(
+        st.builds(node_type, _ORIGINS, _LOCALS),
+        _IRI_ONLY.map(lambda name: node_type(*name)),
+    )
 
 
 _EXPRS = st.recursive(
@@ -221,6 +231,17 @@ _EXPRS = st.recursive(
 def test_print_then_parse_is_identity(ast):
     printed = print_dl_sentence(ast, _DL_PREFIXES)
     assert parse_dl_frame(printed, prefixes=_DL_PREFIXES) == [ast], printed
+
+
+def test_a_local_part_that_is_not_a_name_prints_as_a_full_iri():
+    prefixes = {"f": "https://example.org/f/"}
+    logic = SimpleDlLogic()
+    t = logic.parse_theory("Class: f:A SubClassOf: <https://example.org/f/#>", "t", prefixes=prefixes)
+    [s] = t.sentences
+    assert s.ast.sup == ClsName("https://example.org/f/", "#")
+    text = logic.print_sentence(s.ast, prefixes)
+    assert text == "Class: f:A SubClassOf: <https://example.org/f/#>"
+    assert parse_dl_frame(text, prefixes=prefixes) == [s.ast]
 
 
 def test_theory_printing_includes_declarations():

@@ -5,20 +5,17 @@ import random
 import pytest
 
 from dolkit.errors import LogicMismatch, NoPath
-from dolkit.kernel import Kind, Role, Sentence, Signature, Symbol, Theory
+from dolkit.kernel import Kind, Role, Sentence, Signature, Symbol, Theory, validate_theory
 from dolkit.logics import parse_fof_formula, parse_prop, print_fol
 from dolkit.logics.simpledl import SimpleDlLogic
 from dolkit.mappings import (
     EXTENSION_LOGICS,
     LANGUAGES,
-    NEQ,
     SERIALIZATIONS,
     Accuracy,
     Direction,
     MappingMeta,
-    Shape,
     common_target,
-    compose_meta,
     find_path,
     get_mapping,
     registry_lines,
@@ -49,7 +46,7 @@ class TestRegistry:
 class TestAccuracyMetadata:
     def test_upward_closure(self):
         meta = MappingMeta(
-            "m", "A", "B", Direction.TRANSLATION, Shape.PLAIN, frozenset({Accuracy.SUBLOGIC})
+            "m", "A", "B", Direction.TRANSLATION, frozenset({Accuracy.SUBLOGIC})
         )
         assert {Accuracy.SUBLOGIC, Accuracy.EMBEDDING, Accuracy.FAITHFUL} <= meta.accuracy
 
@@ -58,21 +55,6 @@ class TestAccuracyMetadata:
         assert Accuracy.FAITHFUL in get_mapping("dl2fol").meta.accuracy
         assert Accuracy.SUBLOGIC not in get_mapping("dl2fol").meta.accuracy
         assert get_mapping("fol2prop").meta.accuracy == frozenset()
-
-    def test_compose_meta(self):
-        composed = compose_meta(get_mapping("prop2fol").meta, get_mapping("fol2prop").meta)
-        assert composed.direction is Direction.PROJECTION
-        assert composed.accuracy == frozenset()
-        assert composed.source_logic == "Prop" and composed.target_logic == "Prop"
-
-    def test_compose_meta_shape_contagion(self):
-        theoroidal = get_mapping("dl2fol").meta
-        plain = get_mapping("fol2prop").meta
-        assert compose_meta(theoroidal, plain).shape is Shape.SIMPLE_THEOROIDAL
-
-    def test_compose_meta_endpoint_check(self):
-        with pytest.raises(LogicMismatch):
-            compose_meta(get_mapping("prop2fol").meta, get_mapping("prop2fol").meta)
 
 
 class TestFindPath:
@@ -213,15 +195,9 @@ class TestTranslateTheory:
         )
         assert print_tptp(lifted, "t", "axiom") == "fof(t, axiom, (p | ~p))."
 
-
-class TestDl2FolInfrastructure:
-    def test_scenario_symbols_are_exactly_the_images_plus_neq(self, family_env):
-        base = family_env.load_iri(
-            "https://example.org/family/familyRelations"
-        )
-        scenario = family_env.load_iri(
-            "https://example.org/family/scenario"
-        )
+    def test_scenario_symbols_are_exactly_the_images(self, family_env):
+        base = family_env.load_iri("https://example.org/family/familyRelations")
+        scenario = family_env.load_iri("https://example.org/family/scenario")
         from dolkit.kernel import signature_union
 
         sig = signature_union(base.signature, scenario.signature)
@@ -235,8 +211,12 @@ class TestDl2FolInfrastructure:
                 expected.add(Symbol(s.origin, s.name, Kind.PREDICATE, 2))
             else:
                 expected.add(s)
-        expected.add(NEQ)
         assert ft.signature.symbols == frozenset(expected)
+
+
+class TestDl2FolInfrastructure:
+    """dl2fol makes no unique-name assumption: it adds no `neq` facts and no
+    `neq` symbol, whatever the number of individuals."""
 
     def test_neq_facts_cover_ordered_pairs(self):
         logic = SimpleDlLogic()
@@ -244,15 +224,17 @@ class TestDl2FolInfrastructure:
             "Individual: a Types: C Individual: b Types: C Individual: c Types: C", "t"
         )
         ft, _ = translate_theory(get_mapping("dl2fol"), t)
-        neq_facts = [s for s in ft.sentences if s.label and s.label.startswith("neq_")]
-        assert len(neq_facts) == 6  # 3 individuals, ordered pairs
+        # 3 individuals, 6 ordered pairs, and not one fact among them
+        assert [s.label for s in ft.sentences] == [s.label for s in t.sentences]
+        assert all(s.name != "neq" for s in ft.signature.symbols)
 
     def test_no_infrastructure_below_two_individuals(self):
         logic = SimpleDlLogic()
         t = logic.parse_theory("Individual: a Types: C", "t")
         ft, _ = translate_theory(get_mapping("dl2fol"), t)
         assert all(not (s.label or "").startswith("neq_") for s in ft.sentences)
-        assert NEQ not in ft.signature.symbols
+        assert len(ft.sentences) == len(t.sentences)
+        assert all(s.name != "neq" for s in ft.signature.symbols)
 
 
 class TestProp2FolFaithfulness:
@@ -280,7 +262,45 @@ class TestProp2FolFaithfulness:
 
 
 class TestTranslateTheoryLabels:
+    """A mapping adds no sentence of its own: the image of a theory is the
+    images of its sentences, in order and under their source labels, and a
+    projection lists the sentences it drops."""
+
+    def check(self, mapping_id, t, dropped_labels=()):
+        out, dropped = translate_theory(get_mapping(mapping_id), t)
+        validate_theory(out)
+        assert [s.label for s in dropped] == list(dropped_labels)
+        assert [s.label for s in out.sentences] == [
+            s.label for s in t.sentences if s.label not in dropped_labels
+        ]
+        return out
+
+    def test_every_source_label_is_kept_in_order(self, family_env, alignments_env):
+        from dolkit.logics.fol import FolLogic
+        from dolkit.logics.prop import PropLogic
+        from dolkit.structure import flatten_definition
+
+        dl_theories = [
+            flatten_definition(item, env)
+            for env in (family_env, alignments_env)
+            for item in env.document.ontology_defs()
+        ]
+        assert dl_theories and {t.logic_id for t in dl_theories} == {"SimpleDL"}
+        for t in dl_theories:
+            fol_image = self.check("dl2fol", t)
+            # every dl2fol image has a variable or a constant, so fol2prop drops it
+            self.check("fol2prop", fol_image, [s.label for s in fol_image.sentences])
+        prop_theory = PropLogic().parse_theory("p\np impl q\nnot (q and r)\n", "P")
+        self.check("fol2prop", self.check("prop2fol", prop_theory))
+        fol_theory = FolLogic().parse_theory(
+            "fof(a, axiom, p). fof(b, axiom, ![X]: q(X)). fof(c, axiom, (p => r)). "
+            "fof(d, axiom, s(k)). fof(e, conjecture, ~r).",
+            "F",
+        )
+        self.check("fol2prop", fol_theory, ["b", "d"])
+
     def test_source_labels_colliding_with_neq_facts(self):
+        # labels of the shape the removed unique-name facts had pass through as they are
         logic = SimpleDlLogic()
         source = logic.parse_theory("Individual: a Types: C\nIndividual: b Types: C\n", "t")
         labels = ["neq_1", "neq_1_2"]
@@ -289,9 +309,8 @@ class TestTranslateTheoryLabels:
             source.signature,
             tuple(s.with_label(l) for s, l in zip(source.sentences, labels)),
         )
-        out, dropped = translate_theory(get_mapping("dl2fol"), source)
-        assert dropped == []
-        assert [s.label for s in out.sentences] == ["neq_1", "neq_2", "neq_1_2", "neq_1_2_2"]
+        out = self.check("dl2fol", source)
+        assert [s.label for s in out.sentences] == ["neq_1", "neq_1_2"]
 
 
 # find_path over every ordered pair of distinct registered logics, keyed by
@@ -363,7 +382,6 @@ class TestFindPathTable:
                     src,
                     dst,
                     rng.choice(list(Direction)),
-                    Shape.PLAIN,
                     frozenset(rng.sample(list(Accuracy), rng.randint(0, 2))),
                 )
                 fake[m.meta.id] = m
