@@ -508,10 +508,6 @@ class RepoConfig:
                 )
         return cls(tuple(entries))
 
-    @classmethod
-    def single(cls, prefix: str, directory: str | Path, default_logic: str | None = None):
-        return cls(((prefix, RepoEntry(Path(directory), default_logic)),))
-
 
 def resolve_reference(iri: str, repo: RepoConfig) -> tuple[str, str, str]:
     """Resolve an IRI to (file text, logic id, origin prefix).

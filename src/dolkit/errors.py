@@ -139,7 +139,8 @@ class UnknownAxiomName(DolkitError):
 # -- prove -------------------------------------------------------------------
 
 class UnsupportedFeature(DolkitError):
-    """Input uses a feature the internal prover does not handle (e.g. equality)."""
+    """Input the internal FOL prover does not handle: a free variable or a
+    node that is not a FOL formula, which only an AST built by hand holds."""
 
 
 # -- cli ---------------------------------------------------------------------

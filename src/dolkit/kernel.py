@@ -28,9 +28,7 @@ class Kind(Enum):
     CLASS = "Class"
     INDIVIDUAL = "Individual"
     OBJECT_PROPERTY = "ObjectProperty"
-    DATA_PROPERTY = "DataProperty"
     PREDICATE = "Predicate"
-    FUNCTION = "Function"
     PROP_VAR = "PropVar"
 
     # Enum's __hash__ hashes the name in Python; members compare by identity

@@ -1,9 +1,7 @@
 """Function-free first-order logic with a TPTP FOF text syntax.
 
-Terms are variables and constants only. Equality atoms exist in the AST but
-the text parser rejects them unless explicitly enabled, and the internal
-prover refuses them; they are carried so external TPTP provers could be fed
-equational input if a caller constructs it deliberately.
+Terms are variables and constants only. The text parser reads an equality
+or inequality atom far enough to reject it at its `=` or `!=`.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ from ..kernel import Kind, Logic, Role, Sentence, Signature, Theory, Walk, node,
 from ._scan import TokenCursor, climb, scan
 
 Term = Union["FVar", "FConst"]
-FolAst = Union[
-    "FTrue", "FFalse", "FAtom", "FEq", "FNot", "FBin", "FQuant"
-]
+FolAst = Union["FTrue", "FFalse", "FAtom", "FNot", "FBin", "FQuant"]
 
 
 @node
@@ -48,12 +44,6 @@ class FAtom:
     origin: str
     name: str
     args: tuple[Term, ...] = ()
-
-
-@node
-class FEq:
-    left: Term
-    right: Term
 
 
 @node
@@ -151,12 +141,10 @@ def _print(ast: FolAst, prefixes: Mapping[str, str] | None) -> Walk:
         if not ast.args:
             return head
         return head + "(" + ", ".join(_print_term(a, prefixes) for a in ast.args) + ")"
-    if isinstance(ast, FEq):
-        return f"({_print_term(ast.left, prefixes)} = {_print_term(ast.right, prefixes)})"
     if isinstance(ast, FNot):
         body = yield _print(ast.body, prefixes)
-        if isinstance(ast.body, (FAtom, FTrue, FFalse, FBin, FEq)):
-            # FBin/FEq already come parenthesized
+        if isinstance(ast.body, (FAtom, FTrue, FFalse, FBin)):
+            # FBin already comes parenthesized
             return "~" + body
         return "~(" + body + ")"
     if isinstance(ast, FBin):
@@ -204,10 +192,9 @@ _BINARY = {
 
 
 class _FofParser:
-    def __init__(self, cur: TokenCursor, origin: str, allow_equality: bool):
+    def __init__(self, cur: TokenCursor, origin: str):
         self.cur = cur
         self.origin = origin
-        self.allow_equality = allow_equality
         self.bound: list[str] = []
 
     def document(self) -> list[tuple[str, Role, FolAst]]:
@@ -264,7 +251,8 @@ class _FofParser:
         if self.cur.at("DOLLAR"):
             return FTrue() if self.cur.advance().text == "$true" else FFalse()
         if self.cur.at("UPPER"):
-            return self.equality(self.term())
+            self.term()
+            raise self.equality()
         if self.cur.at("LOWER"):
             tok = self.cur.advance()
             if self.cur.at("PUNCT", "("):
@@ -276,7 +264,7 @@ class _FofParser:
                 self.cur.expect("PUNCT", ")")
                 return FAtom(self.origin, tok.text, tuple(args))
             if self.cur.at("PUNCT", "=") or self.cur.at("NEQ"):
-                return self.equality(FConst(self.origin, tok.text))
+                raise self.equality()
             return FAtom(self.origin, tok.text, ())
         raise self.cur.error("expected a formula", "atom", "~", "!", "?", "(")
 
@@ -286,18 +274,12 @@ class _FofParser:
             body = FQuant(quant, v, body)
         return body
 
-    def equality(self, left: Term) -> FolAst:
-        negated = self.cur.at("NEQ")
+    def equality(self) -> UnknownConstruct:
+        """The rejection of an equality atom whose left term was just read."""
         tok = self.cur.cur
-        if not negated:
+        if not self.cur.at("NEQ"):
             self.cur.expect("PUNCT", "=", what="=")
-        else:
-            self.cur.advance()
-        if not self.allow_equality:
-            raise UnknownConstruct("equality atoms are not enabled", tok.line, tok.col)
-        right = self.term()
-        eq = FEq(left, right)
-        return FNot(eq) if negated else eq
+        return UnknownConstruct("equality atoms are not enabled", tok.line, tok.col)
 
     def term(self) -> Term:
         if self.cur.at("UPPER"):
@@ -314,21 +296,19 @@ class _FofParser:
 def parse_fof_document(
     text: str,
     origin: str = "",
-    allow_equality: bool = False,
     start_line: int = 1,
     start_col: int = 1,
 ) -> list[tuple[str, Role, FolAst]]:
     """Parse a sequence of `fof(name, role, formula).` statements with
     distinct names."""
     cur = TokenCursor(scan(text, _TOKENS, start_line, start_col))
-    return _FofParser(cur, origin, allow_equality).document()
+    return _FofParser(cur, origin).document()
 
 
-def parse_fof_formula(text: str, origin: str = "", allow_equality: bool = False) -> FolAst:
+def parse_fof_formula(text: str, origin: str = "") -> FolAst:
     """Parse a bare FOF formula (no `fof(...)` wrapper)."""
     cur = TokenCursor(scan(text, _TOKENS))
-    parser = _FofParser(cur, origin, allow_equality)
-    ast = parser.formula()
+    ast = _FofParser(cur, origin).formula()
     if not cur.at("EOF"):
         raise cur.error(f"trailing input {cur.cur.text!r}", "end of formula")
     return ast

@@ -431,9 +431,7 @@ def print_dl_sentence(ast: DlAst, prefixes: Mapping[str, str] | None = None) -> 
 
 class SimpleDlLogic(Logic):
     id = "SimpleDL"
-    admitted_kinds = frozenset(
-        {Kind.CLASS, Kind.INDIVIDUAL, Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY}
-    )
+    admitted_kinds = frozenset({Kind.CLASS, Kind.INDIVIDUAL, Kind.OBJECT_PROPERTY})
     name_nodes = {ClsName: Kind.CLASS, PropName: Kind.OBJECT_PROPERTY, IndName: Kind.INDIVIDUAL}
 
     def print_sentence(self, ast: Any, prefixes: Mapping[str, str] | None = None) -> str:

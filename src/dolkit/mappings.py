@@ -45,36 +45,14 @@ class Accuracy(Enum):
     WEAKLY_EXACT = "WeaklyExact"
 
 
-# declared accuracy is upward-closed along the implication chain
-_IMPLIES = {
-    Accuracy.SUBLOGIC: (Accuracy.EMBEDDING,),
-    Accuracy.EMBEDDING: (Accuracy.FAITHFUL,),
-    Accuracy.EXACT: (Accuracy.FAITHFUL,),
-    Accuracy.WEAKLY_EXACT: (Accuracy.FAITHFUL,),
-}
-
-
-def _close_accuracy(declared: frozenset[Accuracy]) -> frozenset[Accuracy]:
-    out = set(declared)
-    frontier = list(declared)
-    while frontier:
-        for implied in _IMPLIES.get(frontier.pop(), ()):
-            if implied not in out:
-                out.add(implied)
-                frontier.append(implied)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class MappingMeta:
     id: str
     source_logic: str
     target_logic: str
     direction: Direction
+    # declared closed upward: Sublogic implies Embedding, which implies Faithful
     accuracy: frozenset[Accuracy] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accuracy", _close_accuracy(frozenset(self.accuracy)))
 
 
 class LogicMapping:
@@ -165,7 +143,7 @@ class Prop2Fol(LogicMapping):
 def _dl_symbol_image(sym: Symbol) -> Symbol:
     if sym.kind is Kind.CLASS:
         return Symbol(sym.origin, sym.name, Kind.PREDICATE, 1)
-    if sym.kind in (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY):
+    if sym.kind is Kind.OBJECT_PROPERTY:
         return Symbol(sym.origin, sym.name, Kind.PREDICATE, 2)
     if sym.kind is Kind.INDIVIDUAL:
         return sym
@@ -300,7 +278,7 @@ class Dl2Fol(LogicMapping):
 
 def _fol2prop_ast(ast) -> Walk:
     """Propositional image of a FOL formula, or None when the formula uses
-    quantifiers, equality, or predicates of arity > 0."""
+    quantifiers or predicates of arity > 0."""
     if isinstance(ast, fol.FTrue):
         return prop.PTrue()
     if isinstance(ast, fol.FFalse):
@@ -318,7 +296,7 @@ def _fol2prop_ast(ast) -> Walk:
         if left is None or right is None:
             return None
         return prop.PBin(ast.op, left, right)
-    return None  # quantifiers, equality
+    return None  # quantifiers
 
 
 class Fol2Prop(LogicMapping):

@@ -53,9 +53,11 @@ def prove_external(
     prover: ProverSpec,
     timeout_seconds: float,
     workdir: str | Path | None = None,
-    keep_file: bool = False,
     problem_name: str = "problem",
 ) -> Verdict:
+    """Run an external prover on a TPTP problem file. The file is written
+    to `workdir` and kept there, or, without one, to a temporary file that
+    is removed afterwards."""
     import subprocess
     import tempfile
 
@@ -93,6 +95,6 @@ def prove_external(
         output = f"spawn failure: {e}"
         status = ProofStatus.ERR
     finally:
-        if not keep_file:
+        if workdir is None:
             path.unlink(missing_ok=True)
     return Verdict(status, output)

@@ -1,7 +1,7 @@
 """Internal first-order prover: clausification in one pass followed by
 saturation with binary resolution and factoring.
 
-Input is the function-free, equality-free fragment; Skolem functions are
+Input is function-free first-order logic; Skolem functions are
 introduced internally. The given-clause loop alternates a weight-best pick
 with an age-based pick for fairness, discards tautologies and forward-
 subsumed clauses, and traces refutations back to the originating axiom
@@ -108,8 +108,6 @@ class _Clausifier:
             return [frozenset([(positive, (ast.origin, ast.name, len(args)), args)])]
         if isinstance(ast, (fol.FTrue, fol.FFalse)):
             return [] if isinstance(ast, fol.FTrue) == positive else [frozenset()]
-        if isinstance(ast, fol.FEq):
-            raise UnsupportedFeature("the internal prover does not handle equality atoms")
         mark = self.vars, self.skolems
         if isinstance(ast, fol.FQuant):
             if (ast.quant == "forall") == positive:

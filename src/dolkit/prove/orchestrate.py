@@ -87,17 +87,10 @@ def _translated_problem(
     path = find_path(
         theory.logic_id, target_logic, Accuracy.FAITHFUL, translations_only=True
     )
-    subset = Theory(theory.name, theory.signature, tuple(selection.chosen))
-    translated, _ = translate_along(path, subset)
-    conj = conjecture
-    for mapping in path:
-        image = mapping.map_sentence(conj)
-        if image is None:
-            raise DolkitError(
-                f"conjecture dropped by mapping {mapping.meta.id}; cannot prove"
-            )
-        conj = image
-    return list(translated.sentences), conj
+    problem = Theory(theory.name, theory.signature, (*selection.chosen, conjecture))
+    translated, _ = translate_along(path, problem)
+    *axioms, conj = translated.sentences
+    return axioms, conj
 
 
 def _tptp_problem(
@@ -136,7 +129,6 @@ def run_attempt(
                 prover,
                 config.timeout_seconds,
                 workdir=config.temp_dir,
-                keep_file=config.temp_dir is not None,
                 problem_name=obligation.name,
             )
     except (DolkitError, RecursionError) as e:

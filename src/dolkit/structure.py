@@ -185,7 +185,7 @@ def _union(name: str, theories: list[Theory]) -> Theory:
     return Theory(name, sig, _merge_sentences([t.sentences for t in theories]))
 
 
-def _to_common_logic(name: str, theories: list[Theory]) -> list[Theory]:
+def _to_common_logic(theories: list[Theory]) -> list[Theory]:
     """Translate a mixed-logic batch into a common target logic."""
     logic_ids: list[str] = []
     for t in theories:
@@ -221,7 +221,7 @@ def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
     if isinstance(expr, And):
         parts = [flatten(op, env) for op in expr.operands]
         if len({t.logic_id for t in parts}) > 1:
-            parts = _to_common_logic(name, parts)
+            parts = _to_common_logic(parts)
         return _union(name or "union", parts)
     if isinstance(expr, Then):
         return _flatten_then(expr, env, name).theory
@@ -231,12 +231,15 @@ def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
 
 
 def _flatten_then(expr: Then, env: Env, name: str) -> FlatDefinition:
-    """Flatten a `then` extension. An extension that introduces no symbols
-    beyond its base is a set of conjectures (proof obligations); one that
-    declares new symbols is an ordinary extension."""
+    """Flatten a `then` extension. A base and an extension in different
+    logics are first translated into a common one. An extension that then
+    introduces no symbols beyond its base is a set of conjectures (proof
+    obligations); one that declares new symbols is an ordinary extension."""
     base = flatten(expr.base, env, name="")
     ext = flatten(expr.extension, env, name=name or "extension")
-    if ext.logic_id != base.logic_id or not ext.signature.symbols <= base.signature.symbols:
+    if ext.logic_id != base.logic_id:
+        base, ext = _to_common_logic([base, ext])
+    if not ext.signature.symbols <= base.signature.symbols:
         return FlatDefinition(_union(name or "extension", [base, ext]))
     conjectures = tuple(s.with_role(Role.CONJECTURE) for s in ext.sentences)
     merged = Theory(

@@ -224,6 +224,44 @@ class TestAnalyze:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "UnresolvedCorrespondence"
 
+    def test_then_from_an_owl_file_to_tptp_is_a_fol_extension(self, capsys, tmp_path):
+        doc = tmp_path / "owl_then_tptp.dol"
+        doc.write_text(
+            "logic OWL\n"
+            "ontology T = <https://example.org/family/scenario>\n"
+            "logic TPTP\n"
+            "ontology E = T then { fof(x, axiom, foo). }\n"
+        )
+        code, out, _ = run(capsys, "--repo", REPO, "analyze", str(doc))
+        assert code == 0
+        report = json.loads(out)
+        assert [(o["name"], o["logic"]) for o in report["ontologies"]] == [
+            ("T", "SimpleDL"), ("E", "FOL"),
+        ]
+        assert report["obligations"] == []
+
+    @pytest.mark.parametrize(
+        "fragment, position",
+        [
+            ("{ fof(e, axiom, a = b). }", "2:32"),
+            ("<https://example.org/t/e.p>", "1:17"),  # the file's own position
+        ],
+    )
+    def test_an_equality_atom_is_rejected_at_its_position(
+        self, capsys, tmp_path, fragment, position
+    ):
+        (tmp_path / "repo.json").write_text('{"https://example.org/t/": "t"}')
+        (tmp_path / "t").mkdir()
+        (tmp_path / "t" / "e.p").write_text("fof(e, axiom, a != b).\n")
+        doc = tmp_path / "equality.dol"
+        doc.write_text(f"logic TPTP\nontology A = {fragment}\n")
+        code, out, _ = run(capsys, "analyze", str(doc))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "UnknownConstruct",
+            "message": f"{position}: equality atoms are not enabled",
+        }
+
     def test_dolkit_repo_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("DOLKIT_REPO", REPO)
         code, out, _ = run(capsys, "analyze", FAMILY)
@@ -332,6 +370,23 @@ class TestProve:
         assert attempt["config"]["provided_axioms"] == [
             *(f"scenario_{i}" for i in range(1, 8)), "u", "p",
         ]
+
+    def test_then_from_propositional_to_tptp_gives_one_obligation(self, capsys, tmp_path):
+        doc = tmp_path / "prop_then_tptp.dol"
+        doc.write_text(
+            "logic Propositional\n"
+            "ontology P = { p\n p impl q }\n"
+            "logic TPTP\n"
+            "ontology Q = P then { fof(c, conjecture, q). }\n"
+        )
+        code, out, _ = run(capsys, "analyze", str(doc))
+        assert code == 0
+        assert json.loads(out)["obligations"] == [{"name": "Q", "base": "P", "conjecture": "q"}]
+        code, out, _ = run(capsys, "prove", str(doc))
+        assert code == 0
+        [attempt] = json.loads(out)["attempts"]
+        assert attempt["status"] == "THM"
+        assert attempt["used_axioms"] == ["P_1", "P_2"]
 
     def test_no_obligations_is_said_on_stderr(self, capsys, tmp_path):
         doc = tmp_path / "no_cq.dol"

@@ -17,7 +17,6 @@ from dolkit.logics.fol import (
     FAtom,
     FBin,
     FConst,
-    FEq,
     FFalse,
     FNot,
     FolLogic,
@@ -105,7 +104,6 @@ _TERMS = st.one_of(
 _ATOMS = st.one_of(
     st.builds(FAtom, st.just(""), st.sampled_from(["p", "q", "likes"]), st.tuples(*[_TERMS] * 2)),
     st.builds(FAtom, st.just(""), st.sampled_from(["p", "r"]), st.just(())),
-    st.builds(FEq, _TERMS, _TERMS),
     st.just(FTrue()),
     st.just(FFalse()),
 )
@@ -126,7 +124,7 @@ def test_print_then_parse_is_identity(ast):
     # closed over every variable, so that the parser finds each one bound;
     # inner quantifiers may shadow
     closed = forall(_VARS, ast)
-    assert parse_fof_formula(print_fol(closed), allow_equality=True) == closed
+    assert parse_fof_formula(print_fol(closed)) == closed
 
 
 class TestSanitize:
@@ -163,10 +161,6 @@ class TestParsing:
     def test_equality_off_by_default(self):
         with pytest.raises(UnknownConstruct):
             parse_fof_formula("a = b")
-
-    def test_equality_opt_in(self):
-        ast = parse_fof_formula("a != b", allow_equality=True)
-        assert isinstance(ast, FNot)
 
     def test_unbound_variable(self):
         with pytest.raises(ParseError):

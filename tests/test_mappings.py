@@ -44,16 +44,11 @@ class TestRegistry:
 
 
 class TestAccuracyMetadata:
-    def test_upward_closure(self):
-        meta = MappingMeta(
-            "m", "A", "B", Direction.TRANSLATION, frozenset({Accuracy.SUBLOGIC})
-        )
-        assert {Accuracy.SUBLOGIC, Accuracy.EMBEDDING, Accuracy.FAITHFUL} <= meta.accuracy
-
     def test_declared_accuracies(self):
-        assert Accuracy.SUBLOGIC in get_mapping("prop2fol").meta.accuracy
-        assert Accuracy.FAITHFUL in get_mapping("dl2fol").meta.accuracy
-        assert Accuracy.SUBLOGIC not in get_mapping("dl2fol").meta.accuracy
+        assert get_mapping("prop2fol").meta.accuracy == {
+            Accuracy.SUBLOGIC, Accuracy.EMBEDDING, Accuracy.FAITHFUL
+        }
+        assert get_mapping("dl2fol").meta.accuracy == {Accuracy.EMBEDDING, Accuracy.FAITHFUL}
         assert get_mapping("fol2prop").meta.accuracy == frozenset()
 
 

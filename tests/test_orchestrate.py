@@ -139,17 +139,12 @@ class TestProveAll:
     def test_per_attempt_errors_become_err_without_aborting_the_run(self):
         from dolkit.kernel import Kind, Signature, Symbol
         from dolkit.logics import parse_fof_formula
-        from dolkit.logics.fol import FConst, FEq
+        from dolkit.logics.fol import FAtom, FBin, FTrue, FVar
 
-        symbols = frozenset(
-            {
-                Symbol("", "a", Kind.INDIVIDUAL),
-                Symbol("", "b", Kind.INDIVIDUAL),
-                Symbol("", "p", Kind.PREDICATE, 1),
-            }
-        )
-        eq_axiom = Sentence("FOL", FEq(FConst("", "a"), FConst("", "b")), "eq", Role.AXIOM)
-        theory = Theory("bg", Signature("FOL", symbols), (eq_axiom,))
+        symbols = frozenset({Symbol("", "a", Kind.INDIVIDUAL), Symbol("", "p", Kind.PREDICATE, 1)})
+        # the parser rejects free variables; a caller can still build one
+        free = FBin("or", FTrue(), FAtom("", "p", (FVar("X"),)))
+        theory = Theory("bg", Signature("FOL", symbols), (Sentence("FOL", free, "free", Role.AXIOM),))
         broken = ProofObligation(
             "broken",
             theory,

@@ -2,6 +2,7 @@
 SZS output."""
 
 import stat
+import tempfile
 import time
 from pathlib import Path
 
@@ -20,10 +21,10 @@ def make_stub(tmp_path: Path, name: str, body: str) -> str:
     return str(path)
 
 
-def run(tmp_path, body, timeout=5, **kwargs):
+def run(tmp_path, body, timeout=5):
     exe = make_stub(tmp_path, "stub.sh", body)
     spec = ProverSpec("stub", ProverKind.EXTERNAL_TPTP, (exe, "{file}", "{timeout}"))
-    return prove_external(TPTP, spec, timeout, workdir=tmp_path, **kwargs)
+    return prove_external(TPTP, spec, timeout, workdir=tmp_path)
 
 
 class TestSzsParsing:
@@ -79,10 +80,21 @@ class TestSubprocessHandling:
         attempt = run(tmp_path, 'cat "$1"; echo "SZS status Theorem"')
         assert "fof(ax1, axiom, p)." in attempt.output
 
-    def test_keep_file(self, tmp_path):
-        run(tmp_path, 'echo "SZS status Theorem"', keep_file=True)
+    def test_keep_file(self, tmp_path, monkeypatch):
+        # kept under a workdir
+        run(tmp_path, 'echo "SZS status Theorem"')
         kept = list(tmp_path.glob("problem_*.p"))
         assert kept and TPTP == kept[0].read_text()
+        # removed from the system's temporary directory
+        system_tmp = tmp_path / "system"
+        system_tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(system_tmp))
+        exe = make_stub(tmp_path, "where.sh", 'echo "$1"; echo "SZS status Theorem"')
+        spec = ProverSpec("stub", ProverKind.EXTERNAL_TPTP, (exe, "{file}"))
+        attempt = prove_external(TPTP, spec, 5)
+        assert attempt.status is ProofStatus.THM
+        assert attempt.output.startswith(str(system_tmp / "problem_"))
+        assert list(system_tmp.iterdir()) == []
 
     def test_command_template_requires_tokens(self):
         with pytest.raises(ValueError):

@@ -67,14 +67,6 @@ def test_saturation_gives_countersatisfiable():
     assert attempt.status is ProofStatus.CSA
 
 
-def test_equality_is_unsupported():
-    # also inside a part that folds to a constant
-    for text in ("a = b", "$true | a = b", "(a = b & $false) => p"):
-        eq = Sentence("FOL", parse_fof_formula(text, allow_equality=True))
-        with pytest.raises(UnsupportedFeature):
-            prove_fol_internal([eq], F("p"), 5)
-
-
 def test_free_variable_is_unsupported_even_where_it_folds_away():
     # the parser rejects free variables; a caller can still build one
     free = Sentence("FOL", FBin("or", FTrue(), FAtom("", "p", (FVar("X"),))))
