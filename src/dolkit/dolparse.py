@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Union
 
 from .errors import (
-    AmbiguousPrefix,
     DuplicateName,
     ParseError,
     RepoIoError,
@@ -386,29 +385,25 @@ class _DolParser:
         return CorrName(local, iri_base)
 
     def _check_combines(self, doc: DolDocument) -> None:
+        """A combine is always a whole expression: of an ontology definition
+        or of an alignment side."""
         alignment_names = {a.name for a in doc.alignment_defs()}
-
-        def check(expr: OntologyExpr) -> None:
-            if isinstance(expr, Combine):
-                missing = [n for n in expr.alignments if n not in alignment_names]
-                if missing:
-                    raise UnresolvedIri(
-                        f"combine references undeclared alignment(s): {', '.join(missing)}"
-                    )
-                repeated = sorted({n for n in expr.alignments if expr.alignments.count(n) > 1})
-                if repeated:
-                    raise DuplicateName(
-                        f"combine names alignment(s) more than once: "
-                        f"{', '.join(map(repr, repeated))}"
-                    )
-            elif isinstance(expr, And):
-                for op in expr.operands:
-                    check(op)
-            elif isinstance(expr, Then):
-                check(expr.base)
-
-        for item in doc.ontology_defs():
-            check(item.expr)
+        exprs = [item.expr for item in doc.ontology_defs()]
+        exprs += [side for a in doc.alignment_defs() for side in (a.left, a.right)]
+        for expr in exprs:
+            if not isinstance(expr, Combine):
+                continue
+            missing = [n for n in expr.alignments if n not in alignment_names]
+            if missing:
+                raise UnresolvedIri(
+                    f"combine references undeclared alignment(s): {', '.join(missing)}"
+                )
+            repeated = sorted({n for n in expr.alignments if expr.alignments.count(n) > 1})
+            if repeated:
+                raise DuplicateName(
+                    f"combine names alignment(s) more than once: "
+                    f"{', '.join(map(repr, repeated))}"
+                )
 
 
 def parse_document(text: str) -> DolDocument:
@@ -519,11 +514,8 @@ def resolve_reference(iri: str, repo: RepoConfig) -> tuple[str, str, str]:
     matches = [(prefix, entry) for prefix, entry in repo.entries if iri.startswith(prefix)]
     if not matches:
         raise UnresolvedIri(f"no repository prefix matches {iri!r}")
-    best_len = max(len(p) for p, _ in matches)
-    best = [(p, e) for p, e in matches if len(p) == best_len]
-    if len(best) > 1:
-        raise AmbiguousPrefix(f"multiple prefixes of length {best_len} match {iri!r}")
-    prefix, entry = best[0]
+    # matching prefixes of one length are one string, a key of repo.json
+    prefix, entry = max(matches, key=lambda m: len(m[0]))
     rel = iri[len(prefix):].lstrip("/")
     candidate = entry.directory / rel
     suffix = candidate.suffix

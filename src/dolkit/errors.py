@@ -88,10 +88,6 @@ class UnresolvedIri(DolkitError):
     """No repository prefix matches the referenced IRI."""
 
 
-class AmbiguousPrefix(DolkitError):
-    """Two distinct repository prefixes of equal length match one IRI."""
-
-
 class RepoIoError(DolkitError):
     """Referenced file exists in the mapping but cannot be read."""
 

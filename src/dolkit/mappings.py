@@ -4,8 +4,10 @@ Three mappings are built in: prop2fol and dl2fol (translations into the
 first-order fragment) and fol2prop (the forgetful projection that keeps only
 nullary predicates). Each maps signatures to signatures and sentences to
 sentences; none adds axioms of its own. Mapping metadata records the
-translation/projection dichotomy plus declared accuracy, and path search over
-the mapping graph backs heterogeneous unions.
+translation/projection dichotomy plus declared accuracy. Routes between
+logics, for heterogeneous unions and extensions and into a prover's logic,
+follow translations only, and every translation is faithful; fol2prop is
+listed but never routed.
 
 The registry is plain tables: the mappings by id, the ontology languages
 and the logic that reads each, the serializations and the language and file
@@ -41,8 +43,6 @@ class Accuracy(Enum):
     SUBLOGIC = "Sublogic"
     EMBEDDING = "Embedding"
     FAITHFUL = "Faithful"
-    EXACT = "Exact"
-    WEAKLY_EXACT = "WeaklyExact"
 
 
 @dataclass(frozen=True)
@@ -68,37 +68,21 @@ class LogicMapping:
         raise NotImplementedError
 
 
-def translate_theory(m: LogicMapping, t: Theory) -> tuple[Theory, list[Sentence]]:
-    """Translate a theory along a mapping.
-
-    Returns the translated theory (the defined sentence images in order, each
-    under its source label) and the list of dropped sentences (empty for
-    translations).
-    """
-    if t.logic_id != m.meta.source_logic:
-        raise LogicMismatch(
-            f"theory {t.name!r} is in {t.logic_id}, mapping {m.meta.id} expects "
-            f"{m.meta.source_logic}"
-        )
-    images: list[Sentence] = []
-    dropped: list[Sentence] = []
-    for s in t.sentences:
-        image = m.map_sentence(s)
-        if image is None:
-            dropped.append(s)
-        else:
-            images.append(image)
-    return Theory(t.name, m.map_signature(t.signature), tuple(images)), dropped
-
-
-def translate_along(path: list["LogicMapping"], t: Theory) -> tuple[Theory, list[Sentence]]:
-    """Fold translate_theory over a mapping path; dropped sentences are
-    collected in source-theory terms of the stage that dropped them."""
-    dropped_all: list[Sentence] = []
+def translate_along(path: list[LogicMapping], t: Theory) -> Theory:
+    """Translate a theory along a mapping path. Each step keeps the defined
+    sentence images in order, each under its source label; a projection
+    leaves out the sentences it has no image for."""
     for m in path:
-        t, dropped = translate_theory(m, t)
-        dropped_all.extend(dropped)
-    return t, dropped_all
+        if t.logic_id != m.meta.source_logic:
+            raise LogicMismatch(
+                f"theory {t.name!r} is in {t.logic_id}, mapping {m.meta.id} expects "
+                f"{m.meta.source_logic}"
+            )
+        images = [m.map_sentence(s) for s in t.sentences]
+        t = Theory(
+            t.name, m.map_signature(t.signature), tuple(i for i in images if i is not None)
+        )
+    return t
 
 
 # -- prop2fol --------------------------------------------------------------------
@@ -378,33 +362,20 @@ def logic_for_language(name: str) -> str:
 # -- path search -----------------------------------------------------------------
 
 
-def _edges(translations_only: bool, required: Accuracy | None) -> list[LogicMapping]:
-    out = []
-    for mid in sorted(_MAPPINGS):
-        m = _MAPPINGS[mid]
-        if translations_only and m.meta.direction is not Direction.TRANSLATION:
-            continue
-        if required is not None and required not in m.meta.accuracy:
-            continue
-        out.append(m)
-    return out
-
-
-def find_path(
-    from_logic: str,
-    to_logic: str,
-    required_accuracy: Accuracy | None = None,
-    translations_only: bool = False,
-) -> list[LogicMapping]:
-    """Shortest mapping path whose every edge declares the required accuracy;
-    ties break lexicographically on mapping ids. Empty when from == to.
+def find_path(from_logic: str, to_logic: str) -> list[LogicMapping]:
+    """Shortest path of translations between two logics; ties break
+    lexicographically on mapping ids. Empty when from == to. Projections are
+    never routed, and every translation declares Faithful, so every path is
+    faithful.
 
     Breadth-first search over id-sorted edges reaches each logic first along
     its least (length, ids) path, since every layer is queued in that order."""
     for logic_id in (from_logic, to_logic):
         if logic_id not in registered_logic_ids():
             raise UnknownLogic(f"unknown logic {logic_id!r}")
-    edges = _edges(translations_only, required_accuracy)
+    edges = [
+        m for _, m in sorted(_MAPPINGS.items()) if m.meta.direction is Direction.TRANSLATION
+    ]
     best: dict[str, list[LogicMapping]] = {from_logic: []}
     queue = deque([from_logic])
     while queue and to_logic not in best:
@@ -414,24 +385,20 @@ def find_path(
                 best[e.meta.target_logic] = best[at] + [e]
                 queue.append(e.meta.target_logic)
     if to_logic not in best:
-        detail = f" with accuracy {required_accuracy.value}" if required_accuracy else ""
-        raise NoPath(f"no mapping path from {from_logic} to {to_logic}{detail}")
+        raise NoPath(f"no mapping path from {from_logic} to {to_logic}")
     return best[to_logic]
 
 
-def common_target(logic_a: str, logic_b: str) -> tuple[str, list[LogicMapping], list[LogicMapping]]:
-    """A logic reachable from both via translations, minimizing total path
-    length; ties break lexicographically on the target logic id."""
-    candidates: list[tuple[int, str, list[LogicMapping], list[LogicMapping]]] = []
+def common_target(*logic_ids: str) -> str:
+    """The logic that all the given logics reach by translations, minimizing
+    the total path length; ties break lexicographically on the target id."""
+    candidates: list[tuple[int, str]] = []
     for target in registered_logic_ids():
         try:
-            pa = find_path(logic_a, target, translations_only=True)
-            pb = find_path(logic_b, target, translations_only=True)
+            length = sum(len(find_path(logic_id, target)) for logic_id in logic_ids)
         except (NoPath, UnknownLogic):
             continue
-        candidates.append((len(pa) + len(pb), target, pa, pb))
+        candidates.append((length, target))
     if not candidates:
-        raise NoCommonTarget(f"no common translation target for {logic_a} and {logic_b}")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, target, pa, pb = candidates[0]
-    return target, pa, pb
+        raise NoCommonTarget(f"no common translation target for {' and '.join(logic_ids)}")
+    return min(candidates)[1]

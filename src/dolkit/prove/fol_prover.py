@@ -282,9 +282,8 @@ def _subsumes(c: Clause, d: Clause) -> bool:
 
 
 class _Saturation:
-    def __init__(self, deadline: float, clause_cap: int):
+    def __init__(self, deadline: float):
         self.deadline = deadline
-        self.clause_cap = clause_cap
         self.clauses: dict[int, Clause] = {}  # retained: queued, processed or empty
         self.next_id = 0
         self.processed: list[Clause] = []
@@ -310,7 +309,7 @@ class _Saturation:
         return clause
 
     def out_of_time(self) -> bool:
-        return time.monotonic() > self.deadline or self.next_id > self.clause_cap
+        return time.monotonic() > self.deadline or self.next_id > DEFAULT_CLAUSE_CAP
 
     def features(self, lits: tuple[Literal, ...]) -> int:
         """Bitmask of the (sign, pred) keys and function symbols in `lits`."""
@@ -479,12 +478,9 @@ def _input_clauses(
 
 
 def prove_fol_internal(
-    axioms: Sequence[Sentence],
-    conjecture: Sentence,
-    timeout_seconds: float,
-    clause_cap: int = DEFAULT_CLAUSE_CAP,
+    axioms: Sequence[Sentence], conjecture: Sentence, timeout_seconds: float
 ) -> Verdict:
-    sat = _Saturation(time.monotonic() + timeout_seconds, clause_cap)
+    sat = _Saturation(time.monotonic() + timeout_seconds)
     try:
         initial = _input_clauses(sat, axioms, conjecture)
     except _Deadline:
@@ -522,6 +518,6 @@ def prove_fol_internal(
             tuple(sat.used_labels(empty)),
         )
     if timed_out:
-        reason = "clause cap" if sat.next_id > clause_cap else "deadline"
+        reason = "clause cap" if sat.next_id > DEFAULT_CLAUSE_CAP else "deadline"
         return Verdict(ProofStatus.TMO, f"search stopped at the {reason}")
     return Verdict(ProofStatus.CSA, f"saturated with {len(sat.processed)} processed clauses")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence, Union
 from ..errors import DolkitError, NestingTooDeep
 from ..kernel import Sentence, Theory, symbols_of
 from ..logics import print_tptp
-from ..mappings import Accuracy, find_path, translate_along
+from ..mappings import find_path, translate_along
 from ..select import (
     Selection,
     SineParams,
@@ -84,12 +84,8 @@ def _translated_problem(
     along faithful translations; each axiom keeps its label."""
     if theory.logic_id == target_logic:
         return list(selection.chosen), conjecture
-    path = find_path(
-        theory.logic_id, target_logic, Accuracy.FAITHFUL, translations_only=True
-    )
     problem = Theory(theory.name, theory.signature, (*selection.chosen, conjecture))
-    translated, _ = translate_along(path, problem)
-    *axioms, conj = translated.sentences
+    *axioms, conj = translate_along(find_path(theory.logic_id, target_logic), problem).sentences
     return axioms, conj
 
 

@@ -9,9 +9,10 @@ aligned signatures by the equivalence closure the alignments induce.
 
 Each job is done once per `Env`, which caches: every definition's
 `FlatDefinition` (its theory and, for competency questions, the base and
-the conjectures), every file-backed theory by IRI, and the diagram node ids
-of files and of inline alignment sides. `combine_details` resolves its
-alignments once and builds the diagram from that `AlignmentResolution`.
+the conjectures), every file-backed theory by IRI, every theory's image in
+another logic, and the diagram node ids of files and of inline alignment
+sides. `combine_details` resolves its alignments once and builds the
+diagram from that `AlignmentResolution`.
 """
 
 from __future__ import annotations
@@ -84,8 +85,13 @@ class Env:
         self.origin = origin
         self.prefixes = document.prefix_map
         self._definitions: dict[str, FlatDefinition] = {}
-        self._flattening: set[str] = set()  # definitions being flattened now
+        # definitions being flattened and alignments whose sides are being
+        # resolved now; the parser keeps their names apart
+        self._flattening: set[str] = set()
         self._by_iri: dict[str, Theory] = {}
+        # (id(source), target logic) -> (source, image); the entry keeps the
+        # source alive, so that its id is not reused
+        self._translations: dict[tuple[int, str], tuple[Theory, Theory]] = {}
         self._iri_nodes: dict[str, str] = {}  # iri -> graph/diagram node id
         self._expr_nodes: dict[OntologyExpr, tuple[str, Theory]] = {}
         # definition names are node ids already; fresh ones must avoid them
@@ -156,6 +162,18 @@ class Env:
             cached = self._expr_nodes[expr] = (node_id, flatten(expr, self, node_id))
         return cached
 
+    def to_common_logic(self, theories: list[Theory]) -> list[Theory]:
+        """Translate a mixed-logic batch into a common target logic; each theory
+        is translated once per Env, so a shared base stays one Theory object."""
+        target = common_target(*sorted({t.logic_id for t in theories}))
+        out = []
+        for t in theories:
+            key = (id(t), target)
+            if key not in self._translations:
+                self._translations[key] = (t, translate_along(find_path(t.logic_id, target), t))
+            out.append(self._translations[key][1])
+        return out
+
 
 def _merge_sentences(groups: list[tuple[Sentence, ...]]) -> tuple[Sentence, ...]:
     """Order-preserving structural union; colliding labels get a numeric
@@ -185,23 +203,6 @@ def _union(name: str, theories: list[Theory]) -> Theory:
     return Theory(name, sig, _merge_sentences([t.sentences for t in theories]))
 
 
-def _to_common_logic(theories: list[Theory]) -> list[Theory]:
-    """Translate a mixed-logic batch into a common target logic."""
-    logic_ids: list[str] = []
-    for t in theories:
-        if t.logic_id not in logic_ids:
-            logic_ids.append(t.logic_id)
-    target = logic_ids[0]
-    for other in logic_ids[1:]:
-        target, _, _ = common_target(target, other)
-    out = []
-    for t in theories:
-        path = find_path(t.logic_id, target, translations_only=True)
-        translated, _ = translate_along(path, t)
-        out.append(translated)
-    return out
-
-
 def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
     """Resolve an ontology expression to a theory."""
     if isinstance(expr, Ref):
@@ -221,7 +222,7 @@ def flatten(expr: OntologyExpr, env: Env, name: str = "") -> Theory:
     if isinstance(expr, And):
         parts = [flatten(op, env) for op in expr.operands]
         if len({t.logic_id for t in parts}) > 1:
-            parts = _to_common_logic(parts)
+            parts = env.to_common_logic(parts)
         return _union(name or "union", parts)
     if isinstance(expr, Then):
         return _flatten_then(expr, env, name).theory
@@ -238,7 +239,7 @@ def _flatten_then(expr: Then, env: Env, name: str) -> FlatDefinition:
     base = flatten(expr.base, env, name="")
     ext = flatten(expr.extension, env, name=name or "extension")
     if ext.logic_id != base.logic_id:
-        base, ext = _to_common_logic([base, ext])
+        base, ext = env.to_common_logic([base, ext])
     if not ext.signature.symbols <= base.signature.symbols:
         return FlatDefinition(_union(name or "extension", [base, ext]))
     conjectures = tuple(s.with_role(Role.CONJECTURE) for s in ext.sentences)
@@ -348,8 +349,15 @@ def resolve_alignments(alignments: list[AlignmentDef], env: Env) -> AlignmentRes
     rows: list[ResolvedCorrespondence] = []
     logic_ids: set[str] = set()
     for a in alignments:
-        left_id, left_t = env.alignment_side(a.left)
-        right_id, right_t = env.alignment_side(a.right)
+        # a side may itself be a combine; one that needs `a` is a cycle
+        if a.name in env._flattening:
+            raise DolkitError(f"combine cycle through {a.name!r}")
+        env._flattening.add(a.name)
+        try:
+            left_id, left_t = env.alignment_side(a.left)
+            right_id, right_t = env.alignment_side(a.right)
+        finally:
+            env._flattening.discard(a.name)
         theories.setdefault(left_id, left_t)
         theories.setdefault(right_id, right_t)
         sides[a.name] = (left_id, right_id)

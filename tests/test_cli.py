@@ -132,6 +132,52 @@ class TestAnalyze:
             "message": "import cycle through 'A'",
         }
 
+    def test_combine_cycle_through_an_alignment_side_gives_error_json(self, capsys, tmp_path):
+        doc = tmp_path / "combine_cycle.dol"
+        doc.write_text(
+            "logic OWL\n"
+            "ontology O = { Class: A }\n"
+            "alignment Al : combine Al to O = A = A\n"
+            "ontology C = combine Al\n"
+        )
+        code, out, _ = run(capsys, "analyze", str(doc))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "DolkitError",
+            "message": "combine cycle through 'Al'",
+        }
+
+    def test_nested_combine_as_an_alignment_side(self, capsys, tmp_path):
+        doc = tmp_path / "nested_combine.dol"
+        doc.write_text(
+            "logic OWL\n"
+            "ontology O = { Class: A }\n"
+            "ontology P = { Class: B }\n"
+            "alignment Al : O to P = A = B\n"
+            "alignment Bl : combine Al to O = A__B = A\n"
+            "ontology C = combine Bl\n"
+        )
+        code, _, _ = run(capsys, "analyze", str(doc))
+        assert code == 0
+        code, out, _ = run(capsys, "combine", str(doc), "--ontology", "C")
+        assert code == 0
+        assert out == "Class: A__A__B\n"
+
+    def test_combine_of_an_alignment_and_one_whose_side_combines_it(self, capsys, tmp_path):
+        # Bl's side needs Al again, but Al's own sides are O and P: no cycle
+        doc = tmp_path / "combine_both.dol"
+        doc.write_text(
+            "logic OWL\n"
+            "ontology O = { Class: A }\n"
+            "ontology P = { Class: B }\n"
+            "alignment Al : O to P = A = B\n"
+            "alignment Bl : combine Al to O = A__B = A\n"
+            "ontology C = combine Al, Bl\n"
+        )
+        code, out, _ = run(capsys, "combine", str(doc), "--ontology", "C")
+        assert code == 0
+        assert out == "Class: A__A__B__B\n"
+
     @pytest.mark.parametrize(
         "language, fragment, position",
         [
@@ -387,6 +433,24 @@ class TestProve:
         [attempt] = json.loads(out)["attempts"]
         assert attempt["status"] == "THM"
         assert attempt["used_axioms"] == ["P_1", "P_2"]
+
+    def test_cqs_in_another_logic_share_one_selection_of_their_base(self, capsys, tmp_path):
+        # the base is translated once, so both obligations have one background
+        # theory and SInE selects once for the union of their symbols
+        doc = tmp_path / "shared_base.dol"
+        doc.write_text(
+            "logic Propositional\n"
+            "ontology P = { p\n p impl q\n r\n r impl s }\n"
+            "logic TPTP\n"
+            "ontology Q = P then { fof(c, conjecture, q). }\n"
+            "ontology S = P then { fof(c, conjecture, s). }\n"
+        )
+        code, out, _ = run(capsys, "prove", "--sine", "1.0,0,0", str(doc))
+        assert code == 0
+        attempts = json.loads(out)["attempts"]
+        assert [(a["obligation"], a["status"]) for a in attempts] == [("Q", "THM"), ("S", "THM")]
+        for a in attempts:
+            assert a["config"]["provided_axioms"] == ["P_1", "P_2", "P_3", "P_4"]
 
     def test_no_obligations_is_said_on_stderr(self, capsys, tmp_path):
         doc = tmp_path / "no_cq.dol"

@@ -82,6 +82,16 @@ class TestGrammarErrors:
         with pytest.raises(UnresolvedIri):
             parse_document("logic OWL\nontology X = combine Nope")
 
+    def test_combine_of_unknown_alignment_as_an_alignment_side(self):
+        # the same check, at parse time, as for an ontology definition
+        message = "^combine references undeclared alignment\\(s\\): Zz$"
+        with pytest.raises(UnresolvedIri, match=message):
+            parse_document("logic OWL\nontology O = { Class: A }\nontology X = combine Zz")
+        with pytest.raises(UnresolvedIri, match=message):
+            parse_document(
+                "logic OWL\nontology O = { Class: A }\nalignment Al : combine Zz to O = A = A"
+            )
+
     def test_unbalanced_fragment(self):
         with pytest.raises(ParseError):
             parse_document("logic OWL\nontology X = { Class: {A }")

@@ -35,7 +35,7 @@ from dolkit.logics import (
     simpledl,
 )
 from dolkit.logics.simpledl import ClsName, SubClassOf
-from dolkit.mappings import get_mapping, translate_theory
+from dolkit.mappings import get_mapping, translate_along
 from dolkit.structure import Env, flatten_definition
 
 
@@ -346,7 +346,7 @@ class TestCategoryLaws:
         for env in (family_env, alignments_env):
             for item in env.document.ontology_defs():
                 t = flatten_definition(item, env)
-                theories += [t, translate_theory(get_mapping("dl2fol"), t)[0]]
+                theories += [t, translate_along([get_mapping("dl2fol")], t)]
         assert {t.logic_id for t in theories} == {"SimpleDL", "FOL"}
         for t in theories:
             there = {

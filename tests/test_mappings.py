@@ -19,7 +19,7 @@ from dolkit.mappings import (
     find_path,
     get_mapping,
     registry_lines,
-    translate_theory,
+    translate_along,
 )
 from dolkit.prove.fol_prover import prove_fol_internal
 from dolkit.prove.status import ProofStatus
@@ -51,10 +51,17 @@ class TestAccuracyMetadata:
         assert get_mapping("dl2fol").meta.accuracy == {Accuracy.EMBEDDING, Accuracy.FAITHFUL}
         assert get_mapping("fol2prop").meta.accuracy == frozenset()
 
+    def test_every_translation_is_faithful(self):
+        # find_path routes every translation, so this makes every route faithful
+        mappings = [get_mapping(line.split()[1]) for line in registry_lines("Mapping")]
+        translations = [m for m in mappings if m.meta.direction is Direction.TRANSLATION]
+        assert [m.meta.id for m in translations] == ["dl2fol", "prop2fol"]
+        assert all(Accuracy.FAITHFUL in m.meta.accuracy for m in translations)
+
 
 class TestFindPath:
     def test_dl_to_fol_faithful(self):
-        assert [m.meta.id for m in find_path("SimpleDL", "FOL", Accuracy.FAITHFUL)] == ["dl2fol"]
+        assert [m.meta.id for m in find_path("SimpleDL", "FOL")] == ["dl2fol"]
 
     def test_reflexive(self):
         assert find_path("FOL", "FOL") == []
@@ -63,26 +70,23 @@ class TestFindPath:
         with pytest.raises(NoPath):
             find_path("FOL", "SimpleDL")
 
-    def test_projection_reachable_without_accuracy(self):
-        assert [m.meta.id for m in find_path("FOL", "Prop")] == ["fol2prop"]
-        with pytest.raises(NoPath):
-            find_path("FOL", "Prop", Accuracy.FAITHFUL)
+    def test_projection_is_never_routed(self):
+        assert "fol2prop" in [line.split()[1] for line in registry_lines("Mapping")]
+        with pytest.raises(NoPath, match="^no mapping path from FOL to Prop$"):
+            find_path("FOL", "Prop")
 
 
 class TestCommonTarget:
     def test_prop_and_dl_meet_in_fol(self):
-        target, pa, pb = common_target("Prop", "SimpleDL")
-        assert target == "FOL"
-        assert [m.meta.id for m in pa] == ["prop2fol"]
-        assert [m.meta.id for m in pb] == ["dl2fol"]
+        assert common_target("Prop", "SimpleDL") == "FOL"
+        assert common_target("Prop", "SimpleDL", "FOL") == "FOL"
 
     def test_same_logic(self):
-        assert common_target("FOL", "FOL") == ("FOL", [], [])
+        assert common_target("FOL", "FOL") == "FOL"
+        assert common_target("Prop") == "Prop"
 
     def test_dl_and_fol(self):
-        target, pa, pb = common_target("SimpleDL", "FOL")
-        assert target == "FOL"
-        assert [m.meta.id for m in pa] == ["dl2fol"] and pb == []
+        assert common_target("SimpleDL", "FOL") == "FOL"
 
 
 def _prop_theory(texts: list[str]) -> Theory:
@@ -120,8 +124,7 @@ def _prop_vars(ast):
 class TestTranslateTheory:
     def test_prop_to_fol_nullary_encoding(self):
         t = _prop_theory(["p", "p impl q"])
-        ft, dropped = translate_theory(get_mapping("prop2fol"), t)
-        assert dropped == []
+        ft = translate_along([get_mapping("prop2fol")], t)
         assert ft.logic_id == "FOL"
         assert {(s.name, s.arity) for s in ft.signature.symbols} == {("p", 0), ("q", 0)}
         assert [print_fol(s.ast) for s in ft.sentences] == ["p", "(p => q)"]
@@ -131,8 +134,7 @@ class TestTranslateTheory:
 
         logic = SimpleDlLogic()
         t = logic.parse_theory("Class: Female SubClassOf: not Male", "t")
-        ft, dropped = translate_theory(get_mapping("dl2fol"), t)
-        assert dropped == []
+        ft = translate_along([get_mapping("dl2fol")], t)
         [s] = ft.sentences
         assert print_fol(s.ast) == "![X]: (q_Female(X) => ~q_Male(X))"
         validate_theory(ft)  # sentence images stay inside the mapped signature
@@ -149,7 +151,7 @@ class TestTranslateTheory:
             "ObjectProperty: q SubPropertyOf: p",
             "t",
         )
-        ft, _ = translate_theory(get_mapping("dl2fol"), t)
+        ft = translate_along([get_mapping("dl2fol")], t)
         texts = [print_fol(s.ast) for s in ft.sentences]
         assert "![X]: (q_A(X) => ?[Y]: (p(X, Y) & q_B(Y)))" in texts
         assert "![X]: (q_C(X) => ![Y]: (p(X, Y) => q_D(Y)))" in texts
@@ -171,16 +173,15 @@ class TestTranslateTheory:
             }
         )
         t = Theory("t", Signature("FOL", symbols), sentences)
-        pt, dropped = translate_theory(get_mapping("fol2prop"), t)
+        pt = translate_along([get_mapping("fol2prop")], t)
         assert [s.label for s in pt.sentences] == ["ax1"]
         assert pt.sentences[0].ast == parse_prop("p and q")
-        assert [s.label for s in dropped] == ["ax2"]
         assert {s.name for s in pt.signature.symbols} == {"p", "q"}
 
     def test_logic_mismatch(self):
         t = _prop_theory(["p"])
         with pytest.raises(LogicMismatch):
-            translate_theory(get_mapping("dl2fol"), t)
+            translate_along([get_mapping("dl2fol")], t)
 
     def test_lifted_tautology_prints_as_tptp(self):
         from dolkit.logics import print_tptp
@@ -197,7 +198,7 @@ class TestTranslateTheory:
 
         sig = signature_union(base.signature, scenario.signature)
         t = Theory("cq", sig, base.sentences + scenario.sentences)
-        ft, _ = translate_theory(get_mapping("dl2fol"), t)
+        ft = translate_along([get_mapping("dl2fol")], t)
         expected = set()
         for s in sig.symbols:
             if s.kind is Kind.CLASS:
@@ -218,7 +219,7 @@ class TestDl2FolInfrastructure:
         t = logic.parse_theory(
             "Individual: a Types: C Individual: b Types: C Individual: c Types: C", "t"
         )
-        ft, _ = translate_theory(get_mapping("dl2fol"), t)
+        ft = translate_along([get_mapping("dl2fol")], t)
         # 3 individuals, 6 ordered pairs, and not one fact among them
         assert [s.label for s in ft.sentences] == [s.label for s in t.sentences]
         assert all(s.name != "neq" for s in ft.signature.symbols)
@@ -226,7 +227,7 @@ class TestDl2FolInfrastructure:
     def test_no_infrastructure_below_two_individuals(self):
         logic = SimpleDlLogic()
         t = logic.parse_theory("Individual: a Types: C", "t")
-        ft, _ = translate_theory(get_mapping("dl2fol"), t)
+        ft = translate_along([get_mapping("dl2fol")], t)
         assert all(not (s.label or "").startswith("neq_") for s in ft.sentences)
         assert len(ft.sentences) == len(t.sentences)
         assert all(s.name != "neq" for s in ft.signature.symbols)
@@ -259,12 +260,11 @@ class TestProp2FolFaithfulness:
 class TestTranslateTheoryLabels:
     """A mapping adds no sentence of its own: the image of a theory is the
     images of its sentences, in order and under their source labels, and a
-    projection lists the sentences it drops."""
+    projection leaves out the sentences it has no image for."""
 
     def check(self, mapping_id, t, dropped_labels=()):
-        out, dropped = translate_theory(get_mapping(mapping_id), t)
+        out = translate_along([get_mapping(mapping_id)], t)
         validate_theory(out)
-        assert [s.label for s in dropped] == list(dropped_labels)
         assert [s.label for s in out.sentences] == [
             s.label for s in t.sentences if s.label not in dropped_labels
         ]
@@ -308,46 +308,72 @@ class TestTranslateTheoryLabels:
         assert [s.label for s in out.sentences] == ["neq_1", "neq_1_2"]
 
 
-# find_path over every ordered pair of distinct registered logics, keyed by
-# (from, to, required accuracy or None, translations_only), as a search over
-# all simple paths gives it for the built-in mappings. Absent keys: NoPath.
-FIND_PATH_TABLE = {
-    ("FOL", "Prop", None, False): "fol2prop",
-    **{
-        ("Prop", "FOL", a, t): "prop2fol"
-        for a in (None, "SUBLOGIC", "EMBEDDING", "FAITHFUL")
-        for t in (False, True)
-    },
-    **{
-        ("SimpleDL", "FOL", a, t): "dl2fol"
-        for a in (None, "EMBEDDING", "FAITHFUL")
-        for t in (False, True)
-    },
-    ("SimpleDL", "Prop", None, False): "dl2fol fol2prop",
+# find_path over every ordered pair of distinct registered logics, as a
+# search over all simple paths of translations gives it for the built-in
+# mappings. Absent pairs: NoPath.
+FIND_PATH_TABLE = {("Prop", "FOL"): "prop2fol", ("SimpleDL", "FOL"): "dl2fol"}
+
+# The accuracies every mapping on each route declares, by value. Exact and
+# WeaklyExact are no longer Accuracy members, so no route may carry them.
+ROUTE_ACCURACIES = {
+    ("Prop", "FOL"): {"Sublogic", "Embedding", "Faithful"},
+    ("SimpleDL", "FOL"): {"Embedding", "Faithful"},
 }
 
 
 class TestFindPathTable:
+    # The ids are those of the accuracy find_path once took as a requirement.
     @pytest.mark.parametrize("translations_only", [False, True])
-    @pytest.mark.parametrize("accuracy", [None, *Accuracy])
-    def test_every_pair(self, accuracy, translations_only):
+    @pytest.mark.parametrize(
+        "accuracy",
+        [None, "Sublogic", "Embedding", "Faithful", "Exact", "WeaklyExact"],
+        ids=[
+            "None",
+            "Accuracy.SUBLOGIC",
+            "Accuracy.EMBEDDING",
+            "Accuracy.FAITHFUL",
+            "Accuracy.EXACT",
+            "Accuracy.WEAKLY_EXACT",
+        ],
+    )
+    def test_every_pair(self, accuracy, translations_only, monkeypatch):
+        """Every pair gets its table route, whether or not the registry is cut
+        down to its translations first (projections are never routed), and
+        each route declares `accuracy` exactly as ROUTE_ACCURACIES says."""
+        import dolkit.mappings as mappings
+
+        if translations_only:
+            monkeypatch.setattr(
+                mappings,
+                "_MAPPINGS",
+                {
+                    i: m
+                    for i, m in mappings._MAPPINGS.items()
+                    if m.meta.direction is Direction.TRANSLATION
+                },
+            )
+            assert sorted(mappings._MAPPINGS) == ["dl2fol", "prop2fol"]
         logic_ids = ["FOL", "Prop", "SimpleDL"]
         for a in logic_ids:
             for b in logic_ids:
-                key = (a, b, accuracy.name if accuracy else None, translations_only)
                 if a == b:
-                    assert find_path(a, b, accuracy, translations_only) == []
-                elif key in FIND_PATH_TABLE:
-                    path = find_path(a, b, accuracy, translations_only)
-                    assert " ".join(m.meta.id for m in path) == FIND_PATH_TABLE[key]
+                    assert find_path(a, b) == []
+                elif (a, b) in FIND_PATH_TABLE:
+                    path = find_path(a, b)
+                    assert " ".join(m.meta.id for m in path) == FIND_PATH_TABLE[a, b]
+                    if accuracy is not None:
+                        declared = all(
+                            accuracy in {x.value for x in m.meta.accuracy} for m in path
+                        )
+                        assert declared == (accuracy in ROUTE_ACCURACIES[a, b])
                 else:
-                    detail = f" with accuracy {accuracy.value}" if accuracy else ""
-                    with pytest.raises(NoPath, match=f"^no mapping path from {a} to {b}{detail}$"):
-                        find_path(a, b, accuracy, translations_only)
+                    with pytest.raises(NoPath, match=f"^no mapping path from {a} to {b}$"):
+                        find_path(a, b)
 
     def test_ties_break_like_exhaustive_search(self, monkeypatch):
         """On random mapping graphs, the path equals the minimum of
-        (length, mapping ids) over all simple paths."""
+        (length, mapping ids) over all simple paths of translations, whatever
+        accuracy the translations declare."""
         import dolkit.mappings as mappings
         from dolkit.mappings import LogicMapping
 
@@ -385,21 +411,18 @@ class TestFindPathTable:
                 for b in logic_ids:
                     if a == b:
                         continue
-                    accuracy = rng.choice([None, *Accuracy])
-                    only = rng.random() < 0.5
                     edges = [
                         fake[i]
                         for i in sorted(fake)
-                        if (not only or fake[i].meta.direction is Direction.TRANSLATION)
-                        and (accuracy is None or accuracy in fake[i].meta.accuracy)
+                        if fake[i].meta.direction is Direction.TRANSLATION
                     ]
                     paths = all_simple_paths(a, b, edges)
                     if not paths:
                         with pytest.raises(NoPath):
-                            find_path(a, b, accuracy, only)
+                            find_path(a, b)
                         continue
                     best = min(paths, key=lambda p: (len(p), tuple(m.meta.id for m in p)))
-                    assert find_path(a, b, accuracy, only) == best
+                    assert find_path(a, b) == best
 
 
 class TestExtensions:

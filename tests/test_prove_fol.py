@@ -11,10 +11,10 @@ from dolkit.errors import UnsupportedFeature
 from dolkit.kernel import Sentence, run
 from dolkit.logics import parse_fof_formula
 from dolkit.logics.fol import FAtom, FBin, FFalse, FNot, FTrue, FVar
-from dolkit.mappings import get_mapping, translate_theory
+from dolkit.mappings import get_mapping, translate_along
 from dolkit.prove import GRACE_SECONDS, prove_fol_internal
+from dolkit.prove import fol_prover
 from dolkit.prove.fol_prover import (
-    DEFAULT_CLAUSE_CAP,
     _apply_lits,
     _Clausifier,
     _input_clauses,
@@ -42,7 +42,7 @@ def family_fol(request):
     env = Env(doc, repo)
     obligations = extract_obligations(doc, env)
     mapping = get_mapping("dl2fol")
-    background, _ = translate_theory(mapping, obligations[0].theory)
+    background = translate_along([mapping], obligations[0].theory)
     conjectures = {
         ob.name: mapping.map_sentence(ob.conjecture) for ob in obligations
     }
@@ -74,18 +74,28 @@ def test_free_variable_is_unsupported_even_where_it_folds_away():
         prove_fol_internal([free], F("q"), 5)
 
 
+# an infinite saturation: every element has a successor and the relation is
+# transitive, so clause terms grow without bound
+ENDLESS = [
+    F("![X]: ?[Y]: bigger(Y, X)", "succ"),
+    F("![X,Y,Z]: ((bigger(X,Y) & bigger(Y,Z)) => bigger(X,Z))", "trans"),
+    F("bigger(b, a)", "seed"),
+]
+
+
 def test_hard_instance_times_out_within_grace():
-    # an infinite saturation: every element has a successor and the relation
-    # is transitive, so clause terms grow without bound
-    axioms = [
-        F("![X]: ?[Y]: bigger(Y, X)", "succ"),
-        F("![X,Y,Z]: ((bigger(X,Y) & bigger(Y,Z)) => bigger(X,Z))", "trans"),
-        F("bigger(b, a)", "seed"),
-    ]
     start = time.monotonic()
-    attempt = prove_fol_internal(axioms, F("q(a)"), 1)
+    attempt = prove_fol_internal(ENDLESS, F("q(a)"), 1)
     assert attempt.status is ProofStatus.TMO
     assert time.monotonic() - start <= 1 + GRACE_SECONDS
+
+
+def test_hard_instance_stops_at_the_clause_cap(monkeypatch):
+    monkeypatch.setattr(fol_prover, "DEFAULT_CLAUSE_CAP", 50)
+    attempt = prove_fol_internal(ENDLESS, F("q(a)"), 60)
+    assert (attempt.status, attempt.output) == (
+        ProofStatus.TMO, "search stopped at the clause cap"
+    )
 
 
 def test_used_axioms_exclude_untouched_facts():
@@ -234,7 +244,7 @@ _substitutions = st.fixed_dictionaries(
     data=st.data(),
 )
 def test_indexed_subsumption_matches_brute_force(stored, to_process, data):
-    sat = _Saturation(time.monotonic() + 600, DEFAULT_CLAUSE_CAP)
+    sat = _Saturation(time.monotonic() + 600)
     for lits in stored:
         clause = sat.add(lits, (), None)
         if clause is not None:
@@ -325,7 +335,7 @@ def test_folded_parts_give_back_their_numbers():
         F("(![Y]: q(Y)) <=> $true", "half_folds"),
         F("?[Z]: r(Z)", "kept"),
     ]
-    sat = _Saturation(time.monotonic() + 600, DEFAULT_CLAUSE_CAP)
+    sat = _Saturation(time.monotonic() + 600)
     clauses = _input_clauses(sat, axioms, F("s"))
     assert [(c.lits, c.label) for c in clauses] == [
         (((True, ("", "q", 1), (("v", "X0"),)),), "half_folds"),
